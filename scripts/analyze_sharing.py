@@ -32,6 +32,12 @@ Rules:
   missing-boundary-class       a boundary class was not found in the
                                scanned tree — renames must update the
                                analyzer, not silently drop coverage.
+  merge-mismatch               a StatSet::add site in a boundary class
+                               whose stat kind (read from the add call)
+                               merges in a way that cannot be derived
+                               from the SIM_EPOCH_MERGED(op) members
+                               its value reads — e.g. a counter (sum)
+                               computed from a max-merged member.
   bad-allow                    an allow() naming no known rule, or an
                                allow() without a justification.
 
@@ -50,7 +56,7 @@ Usage: analyze_sharing.py [--emit PATH] [--json PATH]
 --boundary replaces (not extends) the built-in boundary-class set; the
 fixture corpus uses it to test against its own class names.  --json
 writes the common machine-readable findings report (rule, file, line,
-message) that ci.sh aggregates across all three lints.
+message) that ci.sh aggregates across both lints.
 Exit status: 0 when clean, 1 when findings (or bad usage).
 """
 
@@ -70,10 +76,33 @@ RULES = (
     "bad-merge-op",
     "conflicting-annotations",
     "missing-boundary-class",
+    "merge-mismatch",
     "bad-allow",
 )
 
 MERGE_OPS = ("sum", "min", "max", "histogram_merge")
+
+# Stat kind (the StatSet::add kind argument, src/common/stat_kind.hh;
+# absent = counter) -> how per-worker replicas of the stat combine at
+# an epoch barrier.  This is the one copy of the stat merge vocabulary.
+KIND_MERGE = {
+    "counter": "sum",
+    "rate": "recompute",
+    "gauge": "last",
+    "quantile": "recompute",
+    "histogram_summary": "recompute",
+}
+
+# SIM_EPOCH_MERGED(op) -> stat merge ops derivable from op-merged
+# state.  sum and histogram_merge members admit additive projections
+# (counters) and recomputed summaries; min/max members only admit
+# recomputed stats (their sum is meaningless).
+MERGE_COMPAT = {
+    "sum": ("sum", "recompute"),
+    "histogram_merge": ("sum", "recompute"),
+    "min": ("recompute",),
+    "max": ("recompute",),
+}
 
 # The future shard boundary: every class a worker thread will touch
 # when one big sim is sharded across workers (ROADMAP "intra-sim
@@ -119,6 +148,8 @@ ACCESS_RE = re.compile(r"^(?:(?:public|private|protected)\s*:\s*)+")
 ATTR_RE = re.compile(r"\[\[[^\]]*\]\]")
 SIM_CALL_RE = re.compile(r"\bSIM_\w+\s*\([^()]*\)")
 SIM_BARE_RE = re.compile(r"\bSIM_\w+\b")
+ADD_RE = re.compile(r"\.\s*add\s*\(")
+KIND_RE = re.compile(r"\bstatkind::(\w+)")
 
 
 class Finding:
@@ -307,7 +338,97 @@ def scan_globals(rep, gstr, globals_):
             globals_.append(entry)
 
 
-def analyze_file(path, rel, boundary, classes, globals_):
+def call_args(text, open_idx):
+    """Spans of the top-level arguments of the call whose '(' sits at
+    text[open_idx]."""
+    spans, depth, start = [], 0, open_idx + 1
+    for i in range(open_idx, len(text)):
+        c = text[i]
+        if c in "([{":
+            depth += 1
+        elif c in ")]}":
+            depth -= 1
+            if depth == 0:
+                spans.append((start, i))
+                break
+        elif c == "," and depth == 1:
+            spans.append((start, i))
+            start = i + 1
+    return spans
+
+
+def producer_of(stripped, scopes, idx):
+    """Qualifying class of the member function enclosing idx
+    (`Dram` for a site inside Dram::stats), or None."""
+    for s in sorted((s for s in scopes if s.open_idx < idx < s.close_idx),
+                    key=lambda s: s.open_idx):
+        if s.kind != "other" or not s.ns_chain(scopes):
+            continue
+        start = s.open_idx - 1
+        while start >= 0 and stripped[start] not in ";{}":
+            start -= 1
+        quals = re.findall(r"\b([A-Za-z_]\w*)\s*::\s*~?[A-Za-z_]\w*\s*\(",
+                           stripped[start + 1:s.open_idx])
+        if quals:
+            return quals[-1]
+    return None
+
+
+def stat_kind(stripped, arg):
+    """Kind named by a StatSet::add kind argument: a statkind:: token,
+    or a constant initialized from one in the same file (a table of
+    rates indexed in a loop)."""
+    m = KIND_RE.search(arg)
+    ident = re.match(r"\s*([A-Za-z_]\w*)\s*(?:\[|$)", arg)
+    if not m and ident:
+        d = re.search(r"\b%s\b[^;=]*=" % re.escape(ident.group(1)),
+                      stripped)
+        m = KIND_RE.search(stripped, d.end()) if d else None
+    return m.group(1) if m else None
+
+
+def scan_stat_sites(rep, stripped, li, scopes, sites):
+    """Record every StatSet::add(name, value[, kind]) call inside a
+    member function: its producer class, kind and value identifiers."""
+    for m in ADD_RE.finditer(stripped):
+        args = call_args(stripped, m.end() - 1)
+        if len(args) < 2 or '"' not in stripped[args[0][0]:args[0][1]]:
+            continue  # Histogram::add(value), windowing machinery
+        producer = producer_of(stripped, scopes, m.start())
+        if producer is None:
+            continue
+        kind = "counter"
+        if len(args) > 2:
+            kind = stat_kind(stripped, stripped[args[2][0]:args[2][1]])
+        ids = set(re.findall(r"(?<![\w.>:])([A-Za-z_]\w*)",
+                             stripped[args[1][0]:args[1][1]]))
+        sites.append((rep, producer, kind, li.line_of(m.start()),
+                      li.line_of(args[-1][1]), ids))
+
+
+def check_merge(sites, classes):
+    """merge-mismatch over every recorded add site, once all class
+    member maps are known (stats() lives in the .cc, members in the
+    .hh)."""
+    for rep, producer, kind, l1, l2, ids in sites:
+        members = classes.get(producer, {}).get("members", {})
+        merge = KIND_MERGE.get(kind)
+        for ident in sorted(ids):
+            m = members.get(ident)
+            if not m or m["classification"] != "epoch-merged":
+                continue
+            op = m.get("merge")
+            if merge and op in MERGE_COMPAT and \
+                    merge not in MERGE_COMPAT[op]:
+                rep.emit(l1, l2, "merge-mismatch",
+                         "a %s stat (merges as %s) computed from "
+                         "%s::%s, a SIM_EPOCH_MERGED(%s) member; a "
+                         "%s-merged stat cannot be derived from "
+                         "%s-merged state"
+                         % (kind, merge, producer, ident, op, merge, op))
+
+
+def analyze_file(path, rel, boundary, classes, globals_, sites):
     try:
         with open(path, encoding="utf-8", errors="replace") as f:
             raw = f.read()
@@ -327,6 +448,7 @@ def analyze_file(path, rel, boundary, classes, globals_):
         if s.kind == "class" and s.name in boundary:
             scan_class(rep, stripped, li, s, classes)
     scan_globals(rep, stripped, globals_)
+    scan_stat_sites(rep, stripped, li, scopes, sites)
     rep.check_allow_names()
     return rep
 
@@ -380,15 +502,15 @@ def main(argv):
         return 1
     boundary = tuple(boundary) if boundary else BOUNDARY_CLASSES
 
-    findings = []
-    waivers = []
     classes = {}
     globals_ = []
-    for path in gather(paths):
-        rel = os.path.relpath(path).replace(os.sep, "/")
-        rep = analyze_file(path, rel, boundary, classes, globals_)
-        findings.extend(rep.findings)
-        waivers.extend(rep.waivers)
+    sites = []
+    reps = [analyze_file(path, os.path.relpath(path).replace(os.sep, "/"),
+                         boundary, classes, globals_, sites)
+            for path in gather(paths)]
+    check_merge(sites, classes)
+    findings = [f for rep in reps for f in rep.findings]
+    waivers = [w for rep in reps for w in rep.waivers]
 
     for cls in sorted(set(boundary) - set(classes)):
         findings.append(Finding(

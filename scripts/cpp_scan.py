@@ -265,7 +265,7 @@ def write_findings_json(path, tool, findings):
     """The common machine-readable findings report every lint in this
     repo emits under --json: {schema, tool, findings: [{rule, file,
     line, message}]}.  `findings` are objects with .rule, .path,
-    .line, .msg (the Finding shape all three lints share); ci.sh
+    .line, .msg (the Finding shape both lints share); ci.sh
     aggregates the per-tool reports into one lint_report.json."""
     doc = {
         "schema": "garibaldi-lint-findings-v1",

@@ -48,7 +48,7 @@ The justification is mandatory; a bare allow() is itself a finding.
 Usage: lint_determinism.py [--json PATH] [--list-rules]
                            <file-or-dir>...
 --json writes the common machine-readable findings report (rule, file,
-line, message) that ci.sh aggregates across all three lints.
+line, message) that ci.sh aggregates across both lints.
 Exit status: 0 when clean, 1 when findings (or bad usage).
 """
 

@@ -1,7 +1,5 @@
 #include "common/stat_kind.hh"
 
-#include "common/logging.hh"
-
 namespace garibaldi
 {
 
@@ -21,22 +19,6 @@ windowRuleOf(StatKind kind)
     return WindowRule::Subtract;
 }
 
-MergeOp
-mergeOpOf(StatKind kind)
-{
-    switch (kind) {
-      case StatKind::Counter:
-        return MergeOp::Sum;
-      case StatKind::Gauge:
-        return MergeOp::Last;
-      case StatKind::Rate:
-      case StatKind::Quantile:
-      case StatKind::HistogramSummary:
-        return MergeOp::Recompute;
-    }
-    return MergeOp::Sum;
-}
-
 const char *
 statKindName(StatKind kind)
 {
@@ -53,144 +35,6 @@ statKindName(StatKind kind)
         return "histogram_summary";
     }
     return "counter";
-}
-
-const char *
-windowRuleName(WindowRule rule)
-{
-    switch (rule) {
-      case WindowRule::Subtract:
-        return "subtract";
-      case WindowRule::Recompute:
-        return "recompute";
-      case WindowRule::KeepLast:
-        return "keep-last";
-    }
-    return "subtract";
-}
-
-const char *
-mergeOpName(MergeOp op)
-{
-    switch (op) {
-      case MergeOp::Sum:
-        return "sum";
-      case MergeOp::Recompute:
-        return "recompute";
-      case MergeOp::Last:
-        return "last";
-    }
-    return "sum";
-}
-
-const char *const *
-StatKindRegistry::quantileSuffixes()
-{
-    static const char *const kSuffixes[] = {"_p50", "_p90", "_p95",
-                                            "_p99", nullptr};
-    return kSuffixes;
-}
-
-namespace
-{
-
-bool
-endsWith(const std::string &name, const std::string &suffix)
-{
-    return name.size() >= suffix.size() &&
-           name.compare(name.size() - suffix.size(), suffix.size(),
-                        suffix) == 0;
-}
-
-bool
-hasQuantileSuffix(const std::string &name)
-{
-    for (const char *const *s = StatKindRegistry::quantileSuffixes();
-         *s != nullptr; ++s)
-        if (endsWith(name, *s))
-            return true;
-    return false;
-}
-
-} // namespace
-
-StatKindRegistry &
-StatKindRegistry::mutableInstance()
-{
-    // determinism-lint: allow(static-mutable) populated once by the const SIM_STATS registrars during static init (single-threaded), strictly read-only after main() starts
-    static StatKindRegistry registry;
-    return registry;
-}
-
-const StatKindRegistry &
-StatKindRegistry::instance()
-{
-    return mutableInstance();
-}
-
-const StatDecl *
-StatKindRegistry::resolve(const std::string &name) const
-{
-    auto it = decls.find(name);
-    if (it != decls.end())
-        return &it->second;
-    // Exported names carry addAll prefixes ("llc.", "dram.", ...), so
-    // match the longest declared name sitting at a '.' boundary.
-    const StatDecl *best = nullptr;
-    std::size_t best_len = 0;
-    for (const auto &[dname, decl] : decls) {
-        if (dname.size() + 1 >= name.size() || dname.size() <= best_len)
-            continue;
-        if (name[name.size() - dname.size() - 1] != '.')
-            continue;
-        if (endsWith(name, dname)) {
-            best = &decl;
-            best_len = dname.size();
-        }
-    }
-    return best;
-}
-
-WindowRule
-StatKindRegistry::windowRule(const std::string &name) const
-{
-    if (const StatDecl *d = resolve(name))
-        return windowRuleOf(d->sem.kind);
-    return hasQuantileSuffix(name) ? WindowRule::KeepLast
-                                   : WindowRule::Subtract;
-}
-
-bool
-StatKindRegistry::isQuantile(const std::string &name) const
-{
-    if (const StatDecl *d = resolve(name))
-        return d->sem.kind == StatKind::Quantile;
-    return hasQuantileSuffix(name);
-}
-
-std::size_t
-StatKindRegistry::size() const
-{
-    return decls.size();
-}
-
-StatDomainRegistrar::StatDomainRegistrar(
-    const char *producer, std::initializer_list<StatDecl> decls)
-{
-    StatKindRegistry &reg = StatKindRegistry::mutableInstance();
-    for (const StatDecl &d : decls) {
-        std::string name(d.name);
-        if (name.find('*') != std::string::npos)
-            continue; // wildcard families are analyzer-only
-        auto [it, inserted] = reg.decls.emplace(name, d);
-        // Duplicate declarations across producers must agree on the
-        // kind; scripts/analyze_stats.py reports the collision with
-        // file/line detail, this is the runtime backstop.
-        if (!inserted && it->second.sem.kind != d.sem.kind)
-            fatal("stat '", name, "' declared with conflicting kinds (",
-                  statKindName(it->second.sem.kind), " vs ",
-                  statKindName(d.sem.kind), ") by ", producer);
-    }
 }
 
 } // namespace garibaldi

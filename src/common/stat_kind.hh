@@ -1,55 +1,40 @@
 /**
  * @file
- * Declared stat semantics: every name a module exports through
- * StatSet::add carries a machine-readable kind, and each kind fixes
- * both the windowing rule (what Simulator::run / TelemetrySink do at a
- * window boundary) and the cross-worker merge op (what the intra-sim
- * parallelism work will do at an epoch barrier).  The vocabulary:
+ * Stat kinds: what every exported number means.  Each StatSet entry
+ * records its kind, written at the add site that produces the stat,
+ * and the kind fixes what a window boundary (Simulator::run,
+ * TelemetrySink) does to it:
  *
- *   counter            monotone event count.       window: subtract
- *                                                  merge:  sum
- *   rate(num, den)     derived ratio of counters.  window: recompute
- *                      num/den are '+'-joined      merge:  recompute
- *                      sibling counter names,
- *                      resolved under the same
- *                      addAll prefix as the rate.
- *   gauge              point-in-time reading       window: keep-last
- *                      (threshold, color, ...).    merge:  last
- *   quantile           percentile landmark of a    window: keep-last
- *                      cumulative histogram.       merge:  recompute
- *   histogram_summary  derived summary (mean,      window: keep-last
- *                      imbalance) of internal      merge:  recompute
+ *   counter            monotone event count; the       window: subtract
+ *                      default when no kind is given.
+ *   rate(num, den)     derived ratio of counters.      window: recompute
+ *                      num/den are '+'-joined sibling
+ *                      counter names, resolved under
+ *                      the addAll prefix the rate
+ *                      entry carries.
+ *   gauge              point-in-time reading           window: keep-last
+ *                      (threshold, color, ...).
+ *   quantile           percentile landmark of a        window: keep-last
+ *                      cumulative histogram.
+ *   histogram_summary  derived summary (mean,          window: keep-last
+ *                      imbalance) of internal
  *                      distribution state.
  *
- * Producers declare their exports once, next to the stats() method,
- * with a SIM_STATS block:
+ * At the add site:
  *
- *   SIM_STATS(Dram,
- *       SIM_STAT("reads", counter),
- *       SIM_STAT("avg_queue_delay", rate("queued_cycles",
- *                                        "reads+writes")),
- *       SIM_STAT_GATED("row_hits", counter, "rowModelOn"));
+ *   s.add("reads", v);                                  // counter
+ *   s.add("avg_queue_delay", v,
+ *         statkind::rate("queued_cycles", "reads+writes"));
+ *   s.add("threshold", v, statkind::gauge);
  *
- * SIM_STAT_GATED names the feature-flag token whose conditional must
- * enclose the add() site.  Declared names may contain '*' wildcards
- * for dynamically composed families ("bank*.accesses"); wildcard
- * entries are analyzer-only and never resolve at runtime.
- *
- * scripts/analyze_stats.py parses the same blocks cross-TU, hard-fails
- * on undeclared/unexported/mis-kinded stats, and emits
- * build/stat_map.json — the windowing/merge contract the sharding PR
- * consumes.  sim/metrics.cc asks StatKindRegistry (never a hard-coded
- * name list) how to window each entry, so declarations and the
- * windowing discipline cannot drift.
+ * Rate input names are string literals (they are stored by pointer).
+ * tests/stat_surface_test.cc checks names against kinds and rate
+ * inputs against the counters beside them, and pins the (name, kind)
+ * list to scripts/goldens/stat_surface.txt.
  */
 
 #ifndef GARIBALDI_COMMON_STAT_KIND_HH
 #define GARIBALDI_COMMON_STAT_KIND_HH
-
-#include <cstddef>
-#include <initializer_list>
-#include <map>
-#include <string>
 
 namespace garibaldi
 {
@@ -67,25 +52,14 @@ enum class StatKind
 enum class WindowRule
 {
     Subtract,  //!< after - before
-    Recompute, //!< rebuild from the windowed raw counters
+    Recompute, //!< rebuild from the windowed input counters
     KeepLast,  //!< report the end-of-window reading
 };
 
-/** How per-worker replicas of a stat combine at an epoch barrier. */
-enum class MergeOp
-{
-    Sum,       //!< commutative addition of replicas
-    Recompute, //!< rebuild from merged raw counters / histograms
-    Last,      //!< designated owner's reading wins
-};
-
 WindowRule windowRuleOf(StatKind kind);
-MergeOp mergeOpOf(StatKind kind);
 const char *statKindName(StatKind kind);
-const char *windowRuleName(WindowRule rule);
-const char *mergeOpName(MergeOp op);
 
-/** Kind plus the rate raws; built via the statkind:: vocabulary. */
+/** Kind plus the rate inputs; built via the statkind:: vocabulary. */
 struct StatSemantics
 {
     StatKind kind;
@@ -111,79 +85,6 @@ rate(const char *num, const char *den)
 }
 
 } // namespace statkind
-
-/** One declared export: name (may hold '*'), semantics, gate token. */
-struct StatDecl
-{
-    const char *name;
-    StatSemantics sem;
-    const char *gate; //!< feature-flag token, nullptr when unconditional
-};
-
-/**
- * Process-wide name -> semantics table, populated before main() by the
- * const SIM_STATS registrars and read-only afterwards.  Exported names
- * reach windowing with addAll prefixes attached ("llc.hit_rate",
- * "dram.row_hit_rate"), so resolution is exact match first, then the
- * longest declared name that is a '.'-boundary suffix of the query.
- */
-class StatKindRegistry
-{
-  public:
-    static const StatKindRegistry &instance();
-
-    /**
-     * Declaration governing @p name, or nullptr when no declared name
-     * matches.  Wildcard declarations never match here.
-     */
-    const StatDecl *resolve(const std::string &name) const;
-
-    /**
-     * Windowing rule for @p name.  Undeclared names (test-synthesized
-     * sets) fall back to the naming convention: a canonical quantile
-     * suffix keeps its end-of-window reading, everything else
-     * subtracts — exactly the pre-registry behavior.
-     */
-    WindowRule windowRule(const std::string &name) const;
-
-    /** True when @p name windows as a percentile gauge. */
-    bool isQuantile(const std::string &name) const;
-
-    /** Declared (non-wildcard) name count; tests pin a floor. */
-    std::size_t size() const;
-
-    /**
-     * The canonical quantile suffix set ({_p50, _p90, _p95, _p99} —
-     * every landmark QuantileSummary exports), null-terminated.  The
-     * undeclared-name fallback and the stat analyzer's suffix/kind
-     * rule both key off this one table.
-     */
-    static const char *const *quantileSuffixes();
-
-  private:
-    friend class StatDomainRegistrar;
-    static StatKindRegistry &mutableInstance();
-
-    std::map<std::string, StatDecl> decls;
-};
-
-/** Registers one producer's SIM_STATS block during static init. */
-class StatDomainRegistrar
-{
-  public:
-    StatDomainRegistrar(const char *producer,
-                        std::initializer_list<StatDecl> decls);
-};
-
-// clang-format off
-#define SIM_STAT(name, kind) \
-    ::garibaldi::StatDecl{name, ::garibaldi::statkind::kind, nullptr}
-#define SIM_STAT_GATED(name, kind, gate) \
-    ::garibaldi::StatDecl{name, ::garibaldi::statkind::kind, gate}
-#define SIM_STATS(producer, ...) \
-    static const ::garibaldi::StatDomainRegistrar \
-        kStatDomain_##producer{#producer, {__VA_ARGS__}}
-// clang-format on
 
 } // namespace garibaldi
 

@@ -6,14 +6,6 @@
 namespace garibaldi
 {
 
-SIM_STATS(TagePredictor,
-    SIM_STAT("lookups", counter),
-    SIM_STAT("correct", counter),
-    SIM_STAT("accuracy", rate("correct", "lookups")),
-    SIM_STAT("allocations", counter),
-    SIM_STAT("indirect_lookups", counter),
-    SIM_STAT("indirect_correct", counter));
-
 constexpr std::array<unsigned, TagePredictor::kNumTables>
     TagePredictor::kHistLen;
 
@@ -171,7 +163,8 @@ TagePredictor::stats() const
     s.add("lookups", static_cast<double>(nLookups));
     s.add("correct", static_cast<double>(nCorrect));
     s.add("accuracy",
-          nLookups ? static_cast<double>(nCorrect) / nLookups : 0.0);
+          nLookups ? static_cast<double>(nCorrect) / nLookups : 0.0,
+          statkind::rate("correct", "lookups"));
     s.add("allocations", static_cast<double>(nAllocs));
     s.add("indirect_lookups", static_cast<double>(nIndirect));
     s.add("indirect_correct", static_cast<double>(nIndirectCorrect));

@@ -2,15 +2,9 @@
 
 #include "common/intmath.hh"
 #include "common/logging.hh"
-#include "common/stat_kind.hh"
 
 namespace garibaldi
 {
-
-SIM_STATS(DppnTable,
-    SIM_STAT("hits", counter),
-    SIM_STAT("replacements", counter),
-    SIM_STAT("rejected", counter));
 
 DppnTable::DppnTable(std::uint32_t entries, unsigned sctr_bits,
                      unsigned replace_threshold)

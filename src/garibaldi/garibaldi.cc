@@ -6,19 +6,6 @@
 namespace garibaldi
 {
 
-SIM_STATS(Garibaldi,
-    SIM_STAT("protection_grants", counter),
-    SIM_STAT("protection_denials", counter),
-    SIM_STAT("pair_prefetches", counter),
-    SIM_STAT("paired_updates", counter),
-    SIM_STAT("unpaired_data", counter),
-    SIM_STAT("table_accesses", counter),
-    SIM_STAT_GATED("helper.hits", counter, "helpers"),
-    SIM_STAT_GATED("helper.misses", counter, "helpers"),
-    SIM_STAT_GATED("helper.coverage",
-                   rate("helper.hits", "helper.hits+helper.misses"),
-                   "helpers"));
-
 Garibaldi::Garibaldi(const GaribaldiParams &params_,
                      std::uint32_t num_cores)
     : params(params_),
@@ -157,7 +144,6 @@ Garibaldi::stats() const
     s.addAll("dppn.", dppn.stats());
     s.addAll("threshold.", thresh.stats());
     if (!helpers.empty()) {
-        StatSet h0 = helpers[0]->stats();
         double hits = 0, misses = 0;
         for (const auto &h : helpers) {
             // determinism-lint: allow(float-counter) fixed-order sum into the double-typed StatSet surface
@@ -167,7 +153,8 @@ Garibaldi::stats() const
         s.add("helper.hits", hits);
         s.add("helper.misses", misses);
         s.add("helper.coverage",
-              hits + misses > 0 ? hits / (hits + misses) : 0.0);
+              hits + misses > 0 ? hits / (hits + misses) : 0.0,
+              statkind::rate("helper.hits", "helper.hits+helper.misses"));
     }
     return s;
 }

@@ -57,8 +57,8 @@ class Garibaldi : public LlcCompanion
 
     /**
      * Aggregate module statistics (feeds the energy model too).
-     * Gauge entries (the threshold unit's live readings) are declared
-     * as such via SIM_STATS, so windowing keeps their end-of-window
+     * Gauge entries (the threshold unit's live readings) carry their
+     * kind from the add site, so windowing keeps their end-of-window
      * values without any caller-side name list.
      */
     StatSet stats() const;

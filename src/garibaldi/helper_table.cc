@@ -2,16 +2,9 @@
 
 #include "common/intmath.hh"
 #include "common/logging.hh"
-#include "common/stat_kind.hh"
 
 namespace garibaldi
 {
-
-SIM_STATS(HelperTable,
-    SIM_STAT("records", counter),
-    SIM_STAT("hits", counter),
-    SIM_STAT("misses", counter),
-    SIM_STAT("coverage", rate("hits", "hits+misses")));
 
 HelperTable::HelperTable(std::uint32_t entries, std::uint32_t assoc_,
                          unsigned sctr_bits)
@@ -42,7 +35,6 @@ HelperTable::findEntry(Addr vpn)
 void
 HelperTable::record(Addr pc_vpn, Addr instr_ppn)
 {
-    ++nRecords;
     if (Entry *e = findEntry(pc_vpn)) {
         e->ppn = instr_ppn;
         if (e->sctr < sctrMax)
@@ -82,19 +74,6 @@ HelperTable::lookup(Addr pc_vpn)
     }
     ++nMisses;
     return std::nullopt;
-}
-
-StatSet
-HelperTable::stats() const
-{
-    StatSet s;
-    s.add("records", static_cast<double>(nRecords));
-    s.add("hits", static_cast<double>(nHits));
-    s.add("misses", static_cast<double>(nMisses));
-    s.add("coverage", nHits + nMisses
-                          ? static_cast<double>(nHits) / (nHits + nMisses)
-                          : 0.0);
-    return s;
 }
 
 } // namespace garibaldi

@@ -14,7 +14,6 @@
 #include <optional>
 #include <vector>
 
-#include "common/stats.hh"
 #include "common/types.hh"
 
 namespace garibaldi
@@ -55,8 +54,6 @@ class HelperTable
                                             ~(kLineBytes - 1));
     }
 
-    StatSet stats() const;
-
     std::uint64_t hits() const { return nHits; }
     std::uint64_t misses() const { return nMisses; }
 
@@ -78,7 +75,6 @@ class HelperTable
     std::vector<Entry> entriesArr;
     std::uint64_t nHits = 0;
     std::uint64_t nMisses = 0;
-    std::uint64_t nRecords = 0;
 };
 
 } // namespace garibaldi

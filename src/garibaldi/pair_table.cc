@@ -2,19 +2,9 @@
 
 #include "common/intmath.hh"
 #include "common/logging.hh"
-#include "common/stat_kind.hh"
 
 namespace garibaldi
 {
-
-SIM_STATS(PairTable,
-    SIM_STAT("updates", counter),
-    SIM_STAT("allocations", counter),
-    SIM_STAT("collisions_preserved", counter),
-    SIM_STAT("collisions_replaced", counter),
-    SIM_STAT("queries", counter),
-    SIM_STAT("field_records", counter),
-    SIM_STAT("field_bypasses", counter));
 
 PairTable::PairTable(const GaribaldiParams &params_, DppnTable &dppn_)
     : params(params_), dppn(dppn_),

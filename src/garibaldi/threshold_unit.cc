@@ -8,16 +8,6 @@
 namespace garibaldi
 {
 
-SIM_STATS(ThresholdUnit,
-    SIM_STAT("threshold", gauge),
-    SIM_STAT("color", gauge),
-    SIM_STAT("rotations", counter),
-    SIM_STAT("threshold_ups", counter),
-    SIM_STAT("threshold_downs", counter),
-    SIM_STAT("last_pdmiss", gauge),
-    // stat-lint: allow(suffix-kind) last_llc_miss_rate is an EMA-smoothed point-in-time reading of the miss rate, not a counter-derived ratio to recompute per window
-    SIM_STAT("last_llc_miss_rate", gauge));
-
 ThresholdUnit::ThresholdUnit(const GaribaldiParams &params_,
                              std::uint32_t num_cores)
     : params(params_), numColors(1u << params_.colorBits),
@@ -119,13 +109,15 @@ StatSet
 ThresholdUnit::stats() const
 {
     StatSet s;
-    s.add("threshold", static_cast<double>(threshold()));
-    s.add("color", static_cast<double>(currentColor));
+    s.add("threshold", static_cast<double>(threshold()), statkind::gauge);
+    s.add("color", static_cast<double>(currentColor), statkind::gauge);
     s.add("rotations", static_cast<double>(nRotations));
     s.add("threshold_ups", static_cast<double>(nThresholdUps));
     s.add("threshold_downs", static_cast<double>(nThresholdDowns));
-    s.add("last_pdmiss", lastPdMiss);
-    s.add("last_llc_miss_rate", lastMissRate);
+    s.add("last_pdmiss", lastPdMiss, statkind::gauge);
+    // An EMA-smoothed point-in-time reading of the miss rate, not a
+    // counter-derived ratio to recompute per window.
+    s.add("last_llc_miss_rate", lastMissRate, statkind::gauge);
     return s;
 }
 

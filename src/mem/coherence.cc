@@ -6,12 +6,6 @@
 namespace garibaldi
 {
 
-SIM_STATS(Directory,
-    SIM_STAT("invalidations", counter),
-    SIM_STAT("upgrades", counter),
-    SIM_STAT("shared_fills", counter),
-    SIM_STAT("tracked_lines", gauge));
-
 const char *
 cohStateName(CohState s)
 {
@@ -128,7 +122,8 @@ Directory::stats() const
     s.add("invalidations", static_cast<double>(nInvalidations));
     s.add("upgrades", static_cast<double>(nUpgrades));
     s.add("shared_fills", static_cast<double>(nSharedFills));
-    s.add("tracked_lines", static_cast<double>(dir.size()));
+    s.add("tracked_lines", static_cast<double>(dir.size()),
+          statkind::gauge);
     return s;
 }
 

@@ -11,51 +11,6 @@
 namespace garibaldi
 {
 
-SIM_STATS(Dram,
-    SIM_STAT("reads", counter),
-    SIM_STAT("writes", counter),
-    SIM_STAT("queued_cycles", counter),
-    SIM_STAT("backfills", counter),
-    SIM_STAT("backfill_queued_cycles", counter),
-    SIM_STAT("avg_queue_delay", rate("queued_cycles", "reads+writes")),
-    SIM_STAT_GATED("row_hits", counter, "rowModelOn"),
-    SIM_STAT_GATED("row_misses", counter, "rowModelOn"),
-    SIM_STAT_GATED("row_conflicts", counter, "rowModelOn"),
-    SIM_STAT_GATED("row_accesses", counter, "rowModelOn"),
-    SIM_STAT_GATED("row_hit_rate", rate("row_hits", "row_accesses"),
-                   "rowModelOn"),
-    SIM_STAT_GATED("row_hit_reads", counter, "rowModelOn"),
-    SIM_STAT_GATED("row_hit_lat_cycles", counter, "rowModelOn"),
-    SIM_STAT_GATED("avg_row_hit_latency",
-                   rate("row_hit_lat_cycles", "row_hit_reads"),
-                   "rowModelOn"),
-    SIM_STAT_GATED("row_hit_lat_p50", quantile, "rowModelOn"),
-    SIM_STAT_GATED("row_hit_lat_p95", quantile, "rowModelOn"),
-    SIM_STAT_GATED("row_hit_lat_p99", quantile, "rowModelOn"),
-    SIM_STAT_GATED("row_miss_reads", counter, "rowModelOn"),
-    SIM_STAT_GATED("row_miss_lat_cycles", counter, "rowModelOn"),
-    SIM_STAT_GATED("avg_row_miss_latency",
-                   rate("row_miss_lat_cycles", "row_miss_reads"),
-                   "rowModelOn"),
-    SIM_STAT_GATED("row_miss_lat_p50", quantile, "rowModelOn"),
-    SIM_STAT_GATED("row_miss_lat_p95", quantile, "rowModelOn"),
-    SIM_STAT_GATED("row_miss_lat_p99", quantile, "rowModelOn"),
-    SIM_STAT_GATED("row_conflict_reads", counter, "rowModelOn"),
-    SIM_STAT_GATED("row_conflict_lat_cycles", counter, "rowModelOn"),
-    SIM_STAT_GATED("avg_row_conflict_latency",
-                   rate("row_conflict_lat_cycles", "row_conflict_reads"),
-                   "rowModelOn"),
-    SIM_STAT_GATED("row_conflict_lat_p50", quantile, "rowModelOn"),
-    SIM_STAT_GATED("row_conflict_lat_p95", quantile, "rowModelOn"),
-    SIM_STAT_GATED("row_conflict_lat_p99", quantile, "rowModelOn"),
-    SIM_STAT_GATED("read_lat_cycles", counter, "timingEnabled"),
-    SIM_STAT_GATED("avg_read_latency", rate("read_lat_cycles", "reads"),
-                   "timingEnabled"),
-    SIM_STAT_GATED("turnarounds", counter, "turnaroundOn"),
-    SIM_STAT_GATED("turnaround_cycles", counter, "turnaroundOn"),
-    SIM_STAT_GATED("refresh_blocked", counter, "refreshOn"),
-    SIM_STAT_GATED("refresh_stall_cycles", counter, "refreshOn"));
-
 namespace
 {
 /** openRow sentinel: all banks precharged (row ids are 58-bit max). */
@@ -298,7 +253,8 @@ Dram::stats() const
     // Every access (including zero-delay backfills) feeds the
     // histogram, so this mean is queued_cycles / (reads + writes) —
     // the same identity the simulator's windowed recompute uses.
-    s.add("avg_queue_delay", queueDelay.mean());
+    s.add("avg_queue_delay", queueDelay.mean(),
+          statkind::rate("queued_cycles", "reads+writes"));
     // Timing-leg stats export only when their model is on, so flat-
     // latency runs keep the historical stat surface byte-for-byte
     // (the PR-3 contentionModeled discipline).
@@ -311,13 +267,19 @@ Dram::stats() const
         s.add("row_misses", misses);
         s.add("row_conflicts", conflicts);
         s.add("row_accesses", accesses);
-        s.add("row_hit_rate", accesses > 0 ? hits / accesses : 0.0);
+        s.add("row_hit_rate", accesses > 0 ? hits / accesses : 0.0,
+              statkind::rate("row_hits", "row_accesses"));
         static const char *const kLegName[3] = {"hit", "miss",
                                                 "conflict"};
+        // Rate inputs must outlive the StatSet, so each leg's pair of
+        // counter names is spelled out as literals.
+        static constexpr StatSemantics kLegLatency[3] = {
+            statkind::rate("row_hit_lat_cycles", "row_hit_reads"),
+            statkind::rate("row_miss_lat_cycles", "row_miss_reads"),
+            statkind::rate("row_conflict_lat_cycles",
+                           "row_conflict_reads"),
+        };
         for (int leg = 0; leg < 3; ++leg) {
-            // The "row_" prefix stays literal at every add site so
-            // the stat lint's name skeletons ("row_*_lat_cycles")
-            // can't collide with the timing-gated read_lat stats.
             std::string p = kLegName[leg];
             s.add("row_" + p + "_reads",
                   static_cast<double>(legReads[leg]));
@@ -326,18 +288,18 @@ Dram::stats() const
             // Device-leg latency per leg (queue excluded; see
             // rowLegLatency); the windowed recompute rebuilds this
             // from the two raw counters above.
-            s.add("avg_row_" + p + "_latency", legLatency[leg].mean());
-            // Percentile landmarks of the same distribution.  The
-            // _p50/_p95/_p99 suffix marks them as gauges for anything
-            // windowing the stat set (percentiles of a cumulative
-            // histogram cannot be differenced across snapshots).
+            s.add("avg_row_" + p + "_latency", legLatency[leg].mean(),
+                  kLegLatency[leg]);
+            // Percentile landmarks of the same distribution: windowing
+            // keeps the end-of-window reading (percentiles of a
+            // cumulative histogram cannot be differenced).
             QuantileSummary q = legLatency[leg].quantiles();
-            s.add("row_" + p + "_lat_p50",
-                  static_cast<double>(q.p50));
-            s.add("row_" + p + "_lat_p95",
-                  static_cast<double>(q.p95));
-            s.add("row_" + p + "_lat_p99",
-                  static_cast<double>(q.p99));
+            s.add("row_" + p + "_lat_p50", static_cast<double>(q.p50),
+                  statkind::quantile);
+            s.add("row_" + p + "_lat_p95", static_cast<double>(q.p95),
+                  statkind::quantile);
+            s.add("row_" + p + "_lat_p99", static_cast<double>(q.p99),
+                  statkind::quantile);
         }
     }
     if (params.timingEnabled()) {
@@ -348,7 +310,8 @@ Dram::stats() const
               nReads > 0
                   ? static_cast<double>(readLatCycles) /
                         static_cast<double>(nReads)
-                  : 0.0);
+                  : 0.0,
+              statkind::rate("read_lat_cycles", "reads"));
     }
     if (params.turnaroundOn()) {
         s.add("turnarounds", static_cast<double>(nTurnarounds));

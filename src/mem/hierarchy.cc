@@ -10,11 +10,6 @@
 namespace garibaldi
 {
 
-SIM_STATS(MemoryHierarchy,
-    SIM_STAT_GATED("llc.banks", gauge, "numBanks"),
-    SIM_STAT("mshr_stalls", counter),
-    SIM_STAT("coherence_penalty_cycles", counter));
-
 MemoryHierarchy::MemoryHierarchy(const HierarchyParams &params_)
     : params(params_), instrCrit(params_.instrCritEntries)
 {
@@ -527,7 +522,8 @@ MemoryHierarchy::stats() const
     s.addAll("l2.", l2_sum.toStatSet());
     s.addAll("llc.", llcSet->stats().toStatSet());
     if (llcSet->numBanks() > 1) {
-        s.add("llc.banks", static_cast<double>(llcSet->numBanks()));
+        s.add("llc.banks", static_cast<double>(llcSet->numBanks()),
+              statkind::gauge);
         for (std::uint32_t b = 0; b < llcSet->numBanks(); ++b)
             s.addAll("llc.bank" + std::to_string(b) + ".",
                      llcSet->bank(b).stats().toStatSet());

@@ -7,9 +7,11 @@
  * end-of-run scalars into phase-resolved curves.
  *
  * Window deltas follow the exact windowing discipline Simulator::run
- * applies to the detailed window (sim/metrics.hh windowedStatDelta):
- * counters subtract, rates recompute from the subtracted counters,
- * gauges report their end-of-window reading.  Timestamps are simulated
+ * applies to the detailed window (sim/metrics.hh windowedStatDelta),
+ * driven by each entry's kind as written at its add site
+ * (common/stat_kind.hh): counters subtract, rates recompute from the
+ * subtracted counters, gauges, quantiles and histogram summaries
+ * report their end-of-window reading.  Timestamps are simulated
  * cycles — no wall clock — so the stream is byte-identical across
  * reruns and --jobs values.
  */

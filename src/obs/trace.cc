@@ -9,17 +9,6 @@
 namespace garibaldi
 {
 
-SIM_STATS(Tracer,
-    SIM_STAT("trace.sample_n", gauge),
-    SIM_STAT("trace.seen", counter),
-    SIM_STAT("trace.captured", counter),
-    SIM_STAT("trace.dropped", counter),
-    SIM_STAT("trace.markers_captured", counter),
-    SIM_STAT("lat.*.count", counter),
-    SIM_STAT("lat.*_p50", quantile),
-    SIM_STAT("lat.*_p95", quantile),
-    SIM_STAT("lat.*_p99", quantile));
-
 namespace
 {
 
@@ -342,7 +331,7 @@ Tracer::stats() const
     std::uint64_t seen_total = 0;
     for (std::uint64_t n : seen)
         seen_total += n;
-    s.add("trace.sample_n", static_cast<double>(sampleN));
+    s.add("trace.sample_n", static_cast<double>(sampleN), statkind::gauge);
     s.add("trace.seen", static_cast<double>(seen_total));
     s.add("trace.captured", static_cast<double>(nCaptured));
     s.add("trace.dropped", static_cast<double>(droppedCount()));
@@ -360,9 +349,9 @@ Tracer::stats() const
         for (int leg = 0; leg < kNumLegs; ++leg) {
             QuantileSummary q = hist(cls, leg).quantiles();
             std::string p = base + kLegName[leg];
-            s.add(p + "_p50", static_cast<double>(q.p50));
-            s.add(p + "_p95", static_cast<double>(q.p95));
-            s.add(p + "_p99", static_cast<double>(q.p99));
+            s.add(p + "_p50", static_cast<double>(q.p50), statkind::quantile);
+            s.add(p + "_p95", static_cast<double>(q.p95), statkind::quantile);
+            s.add(p + "_p99", static_cast<double>(q.p99), statkind::quantile);
         }
     }
     return s;

@@ -2,20 +2,9 @@
 
 #include <algorithm>
 
-#include "common/stat_kind.hh"
 
 namespace garibaldi
 {
-
-SIM_STATS(EnergyBreakdown,
-    SIM_STAT("core_j", counter),
-    SIM_STAT("l1_j", counter),
-    SIM_STAT("l2_j", counter),
-    SIM_STAT("llc_j", counter),
-    SIM_STAT("dram_j", counter),
-    SIM_STAT("garibaldi_j", counter),
-    SIM_STAT("static_j", counter),
-    SIM_STAT("total_j", counter));
 
 StatSet
 EnergyBreakdown::toStatSet() const

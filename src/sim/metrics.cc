@@ -4,7 +4,6 @@
 #include <cstring>
 
 #include "common/logging.hh"
-#include "common/stat_kind.hh"
 
 namespace garibaldi
 {
@@ -62,11 +61,11 @@ namespace
 {
 
 /**
- * Sum a '+'-joined counter expression from a rate declaration under
- * the addAll prefix of the exported rate name ("dram." for
- * dram.avg_queue_delay -> dram.queued_cycles over dram.reads +
- * dram.writes).  Absent names read as 0 so a gated counter missing
- * from a model-off surface never faults the recompute.
+ * Sum a '+'-joined counter expression from a rate's add site under
+ * the addAll prefix the rate carries ("dram." for dram.avg_queue_delay
+ * -> dram.queued_cycles over dram.reads + dram.writes).  Absent names
+ * read as 0 so a gated counter missing from a model-off surface never
+ * faults the recompute.
  */
 double
 sumCounters(const StatSet &s, const std::string &prefix,
@@ -90,29 +89,22 @@ sumCounters(const StatSet &s, const std::string &prefix,
 
 } // namespace
 
-bool
-isQuantileStat(const std::string &name)
-{
-    return StatKindRegistry::instance().isQuantile(name);
-}
-
 StatSet
 subtractCounters(const StatSet &after, const StatSet &before)
 {
-    const StatKindRegistry &reg = StatKindRegistry::instance();
-    StatSet out;
-    for (const auto &[name, value] : after.entries()) {
-        // Gauges, quantiles and histogram summaries report their
-        // end-of-window reading (differencing point-in-time values or
-        // percentiles of a cumulative histogram is noise); counters
-        // and rates subtract, and recomputeWindowedRates then rebuilds
-        // every rate from the subtracted raws.
-        if (reg.windowRule(name) == WindowRule::KeepLast) {
-            out.add(name, value);
+    // Gauges, quantiles and histogram summaries report their
+    // end-of-window reading (differencing point-in-time values or
+    // percentiles of a cumulative histogram is noise); counters and
+    // rates subtract, and recomputeWindowedRates then rebuilds every
+    // rate from the subtracted inputs.
+    StatSet out = after;
+    for (std::size_t i = 0; i < after.entries().size(); ++i) {
+        const StatSemantics &sem = after.semantics(i);
+        if (windowRuleOf(sem.kind) == WindowRule::KeepLast)
             continue;
-        }
+        const auto &[name, value] = after.entries()[i];
         double prev = before.has(name) ? before.get(name) : 0.0;
-        out.add(name, value - prev);
+        out.add(name, value - prev, sem);
     }
     return out;
 }
@@ -120,26 +112,15 @@ subtractCounters(const StatSet &after, const StatSet &before)
 void
 recomputeWindowedRates(StatSet &s)
 {
-    const StatKindRegistry &reg = StatKindRegistry::instance();
-    // Collect names first: StatSet::add overwrites in place for
-    // existing keys, but iterating a container while mutating it is a
-    // trap worth avoiding outright.
-    std::vector<std::string> names;
-    names.reserve(s.entries().size());
-    for (const auto &[name, value] : s.entries())
-        names.push_back(name);
-    for (const auto &name : names) {
-        const StatDecl *d = reg.resolve(name);
-        if (d == nullptr || d->sem.kind != StatKind::Rate)
+    for (std::size_t i = 0; i < s.entries().size(); ++i) {
+        StatSemantics sem = s.semantics(i);
+        if (sem.kind != StatKind::Rate)
             continue;
-        // The declaration's raw-counter names are relative to the
-        // addAll prefix the exported name carries ("llc.bank0." for
-        // llc.bank0.hit_rate), which is whatever precedes the
-        // declared suffix.
-        std::string prefix =
-            name.substr(0, name.size() - std::strlen(d->name));
-        s.add(name, safeRate(sumCounters(s, prefix, d->sem.num),
-                             sumCounters(s, prefix, d->sem.den)));
+        std::string prefix = s.prefixOf(i);
+        std::string name = s.entries()[i].first;
+        s.add(name, safeRate(sumCounters(s, prefix, sem.num),
+                             sumCounters(s, prefix, sem.den)),
+              sem);
     }
 }
 

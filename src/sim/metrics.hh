@@ -2,7 +2,8 @@
  * @file
  * Performance metrics of §6: harmonic-mean IPC for homogeneous mixes,
  * weighted speedup (sum of IPC_shared / IPC_single) for heterogeneous
- * mixes, and geometric means for summary rows.
+ * mixes, and geometric means for summary rows; plus the windowing of
+ * StatSets, driven by each entry's kind (common/stat_kind.hh).
  */
 
 #ifndef GARIBALDI_SIM_METRICS_HH
@@ -36,38 +37,27 @@ double weightedSpeedup(const std::vector<double> &shared_ipc,
  * averaging or subtracting per-bank / per-window rates, which weights
  * every bank or window equally regardless of its traffic.
  *
- * Windowing rules (what Simulator::run applies to every exported stat):
- * counters subtract across the window boundary; ratios are recomputed
- * with safeRate from the subtracted counters; gauges (point-in-time
- * readings like threshold.threshold) are never differenced — the
- * window reports the end-of-window value.
+ * Windowing rules (what Simulator::run applies to every exported stat,
+ * by the entry's kind): counters subtract across the window boundary;
+ * rates are recomputed with safeRate from the subtracted counters;
+ * gauges, quantiles and histogram summaries are never differenced —
+ * the window reports the end-of-window value.
  */
 double safeRate(double numerator, double denominator);
 
 /**
- * True when @p name windows as a percentile gauge.  Registry-driven:
- * declared quantile stats (common/stat_kind.hh) answer true whatever
- * their spelling; undeclared names fall back to the canonical suffix
- * set (StatKindRegistry::quantileSuffixes — _p50/_p90/_p95/_p99).
- * Percentiles of a cumulative histogram cannot be differenced across
- * snapshots, so windowing reports their end-of-window reading.
- */
-bool isQuantileStat(const std::string &name);
-
-/**
  * Counter subtraction across a window boundary: every entry of
- * @p after minus its @p before reading (absent = 0), except stats
- * whose declared kind windows as keep-last (gauges, quantiles,
- * histogram summaries), which keep the after value.
+ * @p after minus its @p before reading (absent = 0), except entries
+ * whose kind windows as keep-last (gauges, quantiles, histogram
+ * summaries), which keep the after value.  Kinds come from @p after.
  */
 StatSet subtractCounters(const StatSet &after, const StatSet &before);
 
 /**
- * Recompute every declared-rate entry of @p s in place from its raw
- * counters — a difference of ratios is not the ratio of differences.
- * The raw names come from each rate's SIM_STAT declaration, resolved
- * under the same addAll prefix as the rate itself; there is no
- * hard-coded name list to drift from the producers.
+ * Recompute every rate entry of @p s in place from its input counters
+ * — a difference of ratios is not the ratio of differences.  The
+ * input names are the ones written at the rate's add site, resolved
+ * under the addAll prefix the entry carries (StatSet::prefixOf).
  */
 void recomputeWindowedRates(StatSet &s);
 
@@ -76,7 +66,7 @@ void recomputeWindowedRates(StatSet &s);
  * recomputeWindowedRates.  Used by Simulator::run for the detailed
  * window and by the telemetry sink for every intra-run window, so the
  * two can never drift apart.  Gauges keep their end-of-window reading
- * via their declared kind — callers no longer re-add them.
+ * via their entry kind — callers never re-add them.
  */
 StatSet windowedStatDelta(const StatSet &after, const StatSet &before);
 

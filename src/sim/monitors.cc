@@ -8,36 +8,6 @@
 namespace garibaldi
 {
 
-SIM_STATS(ReuseDistanceMonitor,
-    SIM_STAT("instr_mean_distance", histogram_summary),
-    SIM_STAT("data_mean_distance", histogram_summary),
-    SIM_STAT("instr_distance_p90", quantile),
-    SIM_STAT("data_distance_p90", quantile),
-    SIM_STAT("instr_samples", counter),
-    SIM_STAT("data_samples", counter));
-
-SIM_STATS(LineFrequencyMonitor,
-    SIM_STAT("instr_accesses_per_line", gauge),
-    SIM_STAT("data_accesses_per_line", gauge),
-    SIM_STAT("instr_access_ratio", gauge),
-    SIM_STAT("distinct_instr_lines", gauge),
-    SIM_STAT("distinct_data_lines", gauge));
-
-SIM_STATS(PairingMonitor,
-    SIM_STAT("instr_missrate_datahot", gauge),
-    SIM_STAT("instr_missrate_datacold", gauge),
-    SIM_STAT("data_sharing_degree", gauge),
-    SIM_STAT("tracked_instr_lines", gauge));
-
-SIM_STATS(BankQueueMonitor,
-    SIM_STAT("banks", gauge),
-    SIM_STAT("access_imbalance", histogram_summary),
-    SIM_STAT("mean_queue_delay", histogram_summary),
-    SIM_STAT("bank*.accesses", counter),
-    SIM_STAT("bank*.hits", counter),
-    SIM_STAT("bank*.queued_accesses", counter),
-    SIM_STAT("bank*.queue_cycles", counter));
-
 ReuseDistanceMonitor::ReuseDistanceMonitor(std::uint32_t llc_sets,
                                            unsigned sample_shift)
     : numSets(llc_sets), sampleShift(sample_shift),
@@ -77,15 +47,19 @@ StatSet
 ReuseDistanceMonitor::stats() const
 {
     StatSet s;
-    s.add("instr_mean_distance", instrDist.mean());
-    s.add("data_mean_distance", dataDist.mean());
-    // Percentile gauges carry the canonical _p90 suffix so windowing
-    // keeps the end-of-window reading instead of differencing the
-    // cumulative histogram's landmarks across snapshots.
+    s.add("instr_mean_distance", instrDist.mean(),
+          statkind::histogram_summary);
+    s.add("data_mean_distance", dataDist.mean(),
+          statkind::histogram_summary);
+    // Percentiles of the cumulative histograms: windowing keeps the
+    // end-of-window reading instead of differencing the landmarks
+    // across snapshots.
     s.add("instr_distance_p90",
-          static_cast<double>(instrDist.percentile(0.9)));
+          static_cast<double>(instrDist.percentile(0.9)),
+          statkind::quantile);
     s.add("data_distance_p90",
-          static_cast<double>(dataDist.percentile(0.9)));
+          static_cast<double>(dataDist.percentile(0.9)),
+          statkind::quantile);
     s.add("instr_samples", static_cast<double>(instrDist.count()));
     s.add("data_samples", static_cast<double>(dataDist.count()));
     return s;
@@ -131,12 +105,15 @@ StatSet
 LineFrequencyMonitor::stats() const
 {
     StatSet s;
-    s.add("instr_accesses_per_line", instrAccessesPerLine());
-    s.add("data_accesses_per_line", dataAccessesPerLine());
-    s.add("instr_access_ratio", instrAccessRatio());
+    s.add("instr_accesses_per_line", instrAccessesPerLine(),
+          statkind::gauge);
+    s.add("data_accesses_per_line", dataAccessesPerLine(),
+          statkind::gauge);
+    s.add("instr_access_ratio", instrAccessRatio(), statkind::gauge);
     s.add("distinct_instr_lines",
-          static_cast<double>(instrCounts.size()));
-    s.add("distinct_data_lines", static_cast<double>(dataCounts.size()));
+          static_cast<double>(instrCounts.size()), statkind::gauge);
+    s.add("distinct_data_lines", static_cast<double>(dataCounts.size()),
+          statkind::gauge);
     return s;
 }
 
@@ -220,10 +197,13 @@ StatSet
 PairingMonitor::stats() const
 {
     StatSet s;
-    s.add("instr_missrate_datahot", instrMissRateDataHot());
-    s.add("instr_missrate_datacold", instrMissRateDataCold());
-    s.add("data_sharing_degree", dataSharingDegree());
-    s.add("tracked_instr_lines", static_cast<double>(instrLines.size()));
+    s.add("instr_missrate_datahot", instrMissRateDataHot(),
+          statkind::gauge);
+    s.add("instr_missrate_datacold", instrMissRateDataCold(),
+          statkind::gauge);
+    s.add("data_sharing_degree", dataSharingDegree(), statkind::gauge);
+    s.add("tracked_instr_lines", static_cast<double>(instrLines.size()),
+          statkind::gauge);
     return s;
 }
 
@@ -288,9 +268,11 @@ StatSet
 BankQueueMonitor::stats() const
 {
     StatSet s;
-    s.add("banks", static_cast<double>(banks.size()));
-    s.add("access_imbalance", accessImbalance());
-    s.add("mean_queue_delay", meanQueueDelay());
+    s.add("banks", static_cast<double>(banks.size()), statkind::gauge);
+    s.add("access_imbalance", accessImbalance(),
+          statkind::histogram_summary);
+    s.add("mean_queue_delay", meanQueueDelay(),
+          statkind::histogram_summary);
     for (std::size_t b = 0; b < banks.size(); ++b) {
         std::string prefix = "bank" + std::to_string(b) + ".";
         s.add(prefix + "accesses",

@@ -163,9 +163,10 @@ Simulator::run(std::uint64_t warmup_per_core,
         StatSet agg;
         for (CoreId c = 0; c < sys.numCores(); ++c) {
             StatSet per_core = sys.core(c).tlbs().stats();
-            for (const auto &[name, value] : per_core.entries()) {
+            for (std::size_t i = 0; i < per_core.entries().size(); ++i) {
+                const auto &[name, value] = per_core.entries()[i];
                 double prev = agg.has(name) ? agg.get(name) : 0.0;
-                agg.add(name, prev + value);
+                agg.add(name, prev + value, per_core.semantics(i));
             }
         }
         return agg;
@@ -218,7 +219,7 @@ Simulator::run(std::uint64_t warmup_per_core,
     if (sys.garibaldi()) {
         // helper.coverage flows through the same safeRate recompute as
         // the hierarchy rates; the threshold unit's gauges keep their
-        // end-of-window readings via their declared kind (a difference
+        // end-of-window readings via their entry kind (a difference
         // of two gauge readings is noise — quickstart used to print it
         // as such).
         res.garibaldi =

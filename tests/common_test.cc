@@ -1,8 +1,8 @@
 /**
  * @file
  * Unit tests for the common substrate: RNG determinism, Zipf sampling,
- * saturating counters, histograms, stats registry, integer math, table
- * printing and CLI parsing.
+ * saturating counters, histograms, stats registry and stat kinds,
+ * integer math, table printing and CLI parsing.
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +17,7 @@
 #include "common/stats.hh"
 #include "common/table_printer.hh"
 #include "common/types.hh"
+#include "sim/metrics.hh"
 
 namespace garibaldi
 {
@@ -253,6 +254,116 @@ TEST(Stats, PrefixedMerge)
     StatSet outer;
     outer.addAll("pre.", inner);
     EXPECT_EQ(outer.get("pre.x"), 5);
+}
+
+TEST(StatKinds, DefaultIsCounterAndKindsAreKept)
+{
+    StatSet s;
+    s.add("reads", 4);
+    s.add("threshold", 7, statkind::gauge);
+    s.add("hit_rate", 0.5, statkind::rate("hits", "accesses"));
+    EXPECT_EQ(s.kind("reads"), StatKind::Counter);
+    EXPECT_EQ(s.kind("threshold"), StatKind::Gauge);
+    EXPECT_EQ(s.kind("hit_rate"), StatKind::Rate);
+    EXPECT_STREQ(s.semantics(2).num, "hits");
+    EXPECT_STREQ(s.semantics(2).den, "accesses");
+}
+
+TEST(StatKinds, SurviveOverwriteAddAllAndWindowing)
+{
+    StatSet before, after;
+    for (StatSet *s : {&before, &after}) {
+        s->add("g", s == &before ? 9 : 3, statkind::gauge);
+        s->add("q_p99", s == &before ? 80 : 60, statkind::quantile);
+        s->add("h", s == &before ? 1.5 : 2.5, statkind::histogram_summary);
+        s->add("n", s == &before ? 10 : 30);
+    }
+    after.add("g", 4, statkind::gauge); // overwrite keeps the kind
+    EXPECT_EQ(after.kind("g"), StatKind::Gauge);
+    EXPECT_DOUBLE_EQ(after.get("g"), 4.0);
+    EXPECT_EQ(after.entries().size(), 4u);
+
+    StatSet outer;
+    outer.addAll("pre.", after);
+    EXPECT_EQ(outer.kind("pre.g"), StatKind::Gauge);
+    EXPECT_EQ(outer.kind("pre.q_p99"), StatKind::Quantile);
+    EXPECT_EQ(outer.kind("pre.h"), StatKind::HistogramSummary);
+    EXPECT_EQ(outer.kind("pre.n"), StatKind::Counter);
+
+    for (const StatSet &d : {subtractCounters(after, before),
+                             windowedStatDelta(after, before)}) {
+        // Gauges, quantiles and histogram summaries keep their last
+        // reading, even below the previous snapshot; counters subtract.
+        EXPECT_DOUBLE_EQ(d.get("g"), 4.0);
+        EXPECT_DOUBLE_EQ(d.get("q_p99"), 60.0);
+        EXPECT_DOUBLE_EQ(d.get("h"), 2.5);
+        EXPECT_DOUBLE_EQ(d.get("n"), 20.0);
+        EXPECT_EQ(d.kind("g"), StatKind::Gauge);
+        EXPECT_EQ(d.kind("q_p99"), StatKind::Quantile);
+        EXPECT_EQ(d.kind("h"), StatKind::HistogramSummary);
+        EXPECT_EQ(d.kind("n"), StatKind::Counter);
+    }
+}
+
+TEST(StatKinds, NestedPrefixRateRecomputesFromItsOwnInputs)
+{
+    // Two banks with different traffic plus an aggregate: each
+    // llc.bank<i>.hit_rate must recompute from its own bank's windowed
+    // counters, never from the aggregate's or a sibling's.
+    auto bank = [](double hits, double accesses) {
+        StatSet b;
+        b.add("hits", hits);
+        b.add("accesses", accesses);
+        b.add("hit_rate", hits / accesses,
+              statkind::rate("hits", "accesses"));
+        return b;
+    };
+    auto hierarchy = [&](double scale) {
+        StatSet llc;
+        llc.addAll("", bank(30 * scale, 100 * scale));
+        llc.addAll("bank0.", bank(10 * scale, 20 * scale));
+        llc.addAll("bank1.", bank(20 * scale, 80 * scale));
+        StatSet s;
+        s.addAll("llc.", llc);
+        return s;
+    };
+    StatSet before = hierarchy(1), after = hierarchy(3);
+    // Poison the cumulative ratios: the window must not read them.
+    after.add("llc.bank0.hit_rate", 99, statkind::rate("hits", "accesses"));
+    StatSet d = windowedStatDelta(after, before);
+    EXPECT_DOUBLE_EQ(d.get("llc.bank0.hit_rate"), 20.0 / 40.0);
+    EXPECT_DOUBLE_EQ(d.get("llc.bank1.hit_rate"), 40.0 / 160.0);
+    EXPECT_DOUBLE_EQ(d.get("llc.hit_rate"), 60.0 / 200.0);
+}
+
+TEST(StatKindsDeath, ReAddWithDifferentKindIsFatal)
+{
+    EXPECT_EXIT(
+        {
+            StatSet s;
+            s.add("threshold", 1, statkind::gauge);
+            s.add("threshold", 2);
+        },
+        testing::ExitedWithCode(1), "re-added as counter, was gauge");
+    EXPECT_EXIT(
+        {
+            StatSet inner;
+            StatSet outer;
+            inner.add("x", 1, statkind::quantile);
+            outer.add("pre.x", 1);
+            outer.addAll("pre.", inner);
+        },
+        testing::ExitedWithCode(1), "one name, one kind");
+    // A rate re-added with other inputs is a different kind too.
+    constexpr StatSemantics a_over_b = statkind::rate("a", "b");
+    constexpr StatSemantics a_over_c = statkind::rate("a", "c");
+    EXPECT_EXIT(
+        {
+            StatSet s;
+            s.add("r", 1, a_over_b);
+            s.add("r", 1, a_over_c);
+        },
+        testing::ExitedWithCode(1), "stat 'r' re-added as rate");
 }
 
 TEST(TablePrinter, AlignedOutput)

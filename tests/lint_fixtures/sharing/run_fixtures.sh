@@ -78,6 +78,7 @@ expect_finding bad_merge_op.hh FixtureStats bad-merge-op
 expect_finding bad_unguarded_mutable.hh FixtureCacheFacade \
     mutable-unguarded
 expect_finding bad_global.cc - unannotated-global
+expect_finding bad_merge_mismatch.cc FixtureWatermark merge-mismatch
 
 expect_clean "clean_guarded.hh" --boundary FixtureLedger \
     "$HERE/clean_guarded.hh"

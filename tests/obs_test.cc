@@ -99,50 +99,22 @@ TEST(HistogramQuantiles, EmptyAndQuantized)
 
 TEST(Metrics, QuantileStatsAreGauges)
 {
-    EXPECT_TRUE(isQuantileStat("obs.lat.data.dram_p50"));
-    EXPECT_TRUE(isQuantileStat("dram.row_hit_lat_p95"));
-    EXPECT_TRUE(isQuantileStat("x_p99"));
-    EXPECT_FALSE(isQuantileStat("llc.hits"));
-    EXPECT_FALSE(isQuantileStat("p50"));
-    // _p90 joined the canonical suffix set when the reuse-distance
-    // monitor's p90 gauges were renamed to it (QuantileSummary exports
-    // p90, so the suffix family must cover it).
-    EXPECT_TRUE(isQuantileStat("lat_p90"));
-
+    // Quantile-ness is the entry's kind, written at its add site; the
+    // _p50/_p90/_p95/_p99 naming convention is checked against kinds
+    // by stat_surface_test rather than consulted at windowing time.
     StatSet before, after;
     before.add("hits", 10);
-    before.add("lat_p99", 200);
+    before.add("lat_p99", 200, statkind::quantile);
     after.add("hits", 25);
-    after.add("lat_p99", 170);
+    after.add("lat_p99", 170, statkind::quantile);
     StatSet d = subtractCounters(after, before);
     EXPECT_DOUBLE_EQ(d.get("hits"), 15.0);
     // Percentiles of a cumulative histogram cannot be differenced:
-    // the window keeps the end-of-window reading.
+    // the window keeps the end-of-window reading, even when it is
+    // *smaller* than the previous snapshot (a subtraction would have
+    // produced -30 here).
     EXPECT_DOUBLE_EQ(d.get("lat_p99"), 170.0);
-}
-
-TEST(Metrics, EveryQuantileSuffixWindowsKeepLast)
-{
-    // Sweep the registry's own suffix list so a suffix added to
-    // StatKindRegistry::quantileSuffixes() is covered here without a
-    // test edit — the list, isQuantileStat and the windowing rule
-    // must move together.
-    int n = 0;
-    for (const char *const *sfx = StatKindRegistry::quantileSuffixes();
-         *sfx != nullptr; ++sfx) {
-        ++n;
-        std::string name = std::string("sweep") + *sfx;
-        EXPECT_TRUE(isQuantileStat(name)) << name;
-        StatSet before, after;
-        before.add(name, 40.0);
-        after.add(name, 30.0);
-        StatSet d = subtractCounters(after, before);
-        // Keep-last: the end-of-window reading survives even when it
-        // is *smaller* than the previous snapshot (a subtraction
-        // would have produced -10 here).
-        EXPECT_DOUBLE_EQ(d.get(name), 30.0) << name;
-    }
-    EXPECT_EQ(n, 4) << "_p50/_p90/_p95/_p99 is the canonical set";
+    EXPECT_EQ(d.kind("lat_p99"), StatKind::Quantile);
 }
 
 // ---- knob validation ------------------------------------------------
@@ -298,6 +270,33 @@ TEST(Tracer, StatsExportPercentilesPerPresentClass)
     EXPECT_FALSE(s.has("lat.instr.count"));
 }
 
+TEST(Metrics, TracerPercentilesWindowKeepLast)
+{
+    // Every percentile the tracer exports is added as a quantile, so
+    // windowing across two snapshots keeps the later reading.
+    ObsConfig obs = tracingConfig(1, 64);
+    Tracer t(obs, 1);
+    t.setMeasuring(true);
+    for (Cycle i = 0; i < 8; ++i)
+        t.onTransaction(fakeTxn(0, i, /*instr=*/false));
+    StatSet early = t.stats();
+    for (Cycle i = 8; i < 64; ++i)
+        t.onTransaction(fakeTxn(0, i * 7, /*instr=*/false));
+    StatSet late = t.stats();
+    StatSet d = windowedStatDelta(late, early);
+    int quantiles = 0;
+    for (std::size_t i = 0; i < late.entries().size(); ++i) {
+        if (late.semantics(i).kind != StatKind::Quantile)
+            continue;
+        ++quantiles;
+        const auto &[name, value] = late.entries()[i];
+        EXPECT_DOUBLE_EQ(d.get(name), value) << name;
+    }
+    // lat.data.{l1,l2,llc,queue,dram,total} x {p50,p95,p99}.
+    EXPECT_EQ(quantiles, 18);
+    EXPECT_DOUBLE_EQ(d.get("lat.data.count"), 56.0);
+}
+
 // ---- end-to-end: zero perturbation, JSON, determinism --------------
 
 TEST(ObsEndToEnd, KnobsOffBuildsNoSubsystem)
@@ -424,7 +423,6 @@ TEST(ObsEndToEnd, TelemetryWindowInvariants)
         prev_end = rec.get("end").asNumber();
         instr_sum += rec.get("instructions").asNumber();
         EXPECT_TRUE(rec.has("ipc"));
-        // stat-refs: allow(llc_hit_rate) telemetry JSONL field name, not a StatSet stat
         EXPECT_TRUE(rec.has("llc_hit_rate"));
         ++n;
     }

@@ -146,15 +146,14 @@ TEST(Simulator, WindowedGaribaldiRatiosAndGauges)
     EXPECT_GE(r.garibaldi.get("helper.coverage"), 0.0);
     EXPECT_LE(r.garibaldi.get("helper.coverage"), 1.0);
     // Gauges match the live module's current reading, not a delta.
-    // The gauge set comes from the declared stat kinds (the threshold
-    // unit's SIM_STATS block), not a hand-maintained name list.
+    // The gauge set comes from the entry kinds (written at the
+    // threshold unit's add sites), not a hand-maintained name list.
     StatSet live = sys.garibaldi()->stats();
-    const StatKindRegistry &reg = StatKindRegistry::instance();
     int gauges = 0;
-    for (const auto &[name, value] : live.entries()) {
-        const StatDecl *d = reg.resolve(name);
-        if (!d || d->sem.kind != StatKind::Gauge)
+    for (std::size_t i = 0; i < live.entries().size(); ++i) {
+        if (live.semantics(i).kind != StatKind::Gauge)
             continue;
+        const auto &[name, value] = live.entries()[i];
         ++gauges;
         ASSERT_TRUE(r.garibaldi.has(name)) << name;
         EXPECT_DOUBLE_EQ(r.garibaldi.get(name), value) << name;
@@ -345,43 +344,45 @@ TEST(ReuseDistanceMonitor, WindowedP90KeepsEndOfWindowReading)
                          w1_live.get("data_samples"));
 }
 
-TEST(StatKindRegistry, ResolvesPrefixedAndSuffixNestedNames)
+TEST(StatKinds, ProducerEntriesCarryTheirKindsUnderPrefixes)
 {
-    const StatKindRegistry &reg = StatKindRegistry::instance();
+    // Kinds are written at each producer's add site and survive the
+    // addAll prefixes the hierarchy and Garibaldi stack on top; there
+    // is no name-suffix resolution any more.
+    SystemConfig cfg = tinyConfig(2);
+    cfg.garibaldiEnabled = true;
+    cfg.dram.rowBits = 7;
+    System sys(cfg, homogeneousMix("tpcc", 2));
+    StatSet mem = sys.hierarchy().stats();
+    // "dram.row_hit_rate" is its own rate: the embedded "hit_rate"
+    // of the caches cannot shadow it.
+    EXPECT_EQ(mem.kind("dram.row_hit_rate"), StatKind::Rate);
+    EXPECT_EQ(mem.kind("dram.reads"), StatKind::Counter);
+    EXPECT_EQ(mem.kind("dram.avg_queue_delay"), StatKind::Rate);
+    EXPECT_EQ(mem.kind("dram.row_hit_lat_p95"), StatKind::Quantile);
+    EXPECT_EQ(mem.kind("dir.tracked_lines"), StatKind::Gauge);
 
-    // Exact names resolve to their own declaration.
-    const StatDecl *d = reg.resolve("row_hit_rate");
-    ASSERT_NE(d, nullptr);
-    EXPECT_EQ(d->sem.kind, StatKind::Rate);
+    // Nested prefixes: "garibaldi.helper.coverage" keeps reading its
+    // inputs next to itself, under "garibaldi.".
+    StatSet outer;
+    outer.addAll("garibaldi.", sys.garibaldi()->stats());
+    EXPECT_EQ(outer.kind("garibaldi.threshold.threshold"),
+              StatKind::Gauge);
+    for (std::size_t i = 0; i < outer.entries().size(); ++i) {
+        if (outer.entries()[i].first != "garibaldi.helper.coverage")
+            continue;
+        EXPECT_EQ(outer.semantics(i).kind, StatKind::Rate);
+        EXPECT_EQ(outer.prefixOf(i), "garibaldi.");
+        EXPECT_STREQ(outer.semantics(i).num, "helper.hits");
+    }
 
-    // addAll prefixes resolve at a '.' boundary: "dram.row_hit_rate"
-    // finds "row_hit_rate", and the embedded "hit_rate" declaration
-    // does NOT shadow it (the character before it is '_', not '.').
-    d = reg.resolve("dram.row_hit_rate");
-    ASSERT_NE(d, nullptr);
-    EXPECT_EQ(std::string(d->name), "row_hit_rate");
-
-    // The longest declared suffix wins: "garibaldi.helper.coverage"
-    // must find "helper.coverage" (Garibaldi's gated rate), not a
-    // bare "coverage" declaration.
-    d = reg.resolve("garibaldi.helper.coverage");
-    ASSERT_NE(d, nullptr);
-    EXPECT_EQ(std::string(d->name), "helper.coverage");
-    EXPECT_EQ(d->sem.kind, StatKind::Rate);
-
-    // Undeclared names resolve to nothing; windowing falls back to
-    // the quantile-suffix heuristic, everything else subtracts.
-    EXPECT_EQ(reg.resolve("no.such.stat"), nullptr);
-    EXPECT_EQ(reg.windowRule("no.such.stat"), WindowRule::Subtract);
-    EXPECT_EQ(reg.windowRule("no.such.stat_p95"),
-              WindowRule::KeepLast);
-
-    // Declared kinds drive the windowing rule.
-    EXPECT_EQ(reg.windowRule("threshold.threshold"),
-              WindowRule::KeepLast);
-    EXPECT_EQ(reg.windowRule("dram.reads"), WindowRule::Subtract);
-    EXPECT_EQ(reg.windowRule("dram.avg_queue_delay"),
-              WindowRule::Recompute);
+    // Removed behaviour: the undeclared-name suffix fallback.  A name
+    // added without a kind is a counter whatever it is called, so a
+    // "_p95" name subtracts unless its add site says quantile.
+    StatSet before, after;
+    before.add("x_p95", 40);
+    after.add("x_p95", 30);
+    EXPECT_DOUBLE_EQ(subtractCounters(after, before).get("x_p95"), -10.0);
 }
 
 TEST(LineFrequencyMonitor, CountsPerLineAndRatio)
