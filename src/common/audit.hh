@@ -1,8 +1,9 @@
 /**
  * @file
- * Runtime invariant-audit mode: SIM_ASSERT checks for the identities
- * earlier PRs verified by hand (DRAM stall-subset books, telemetry
- * window chaining, MSHR booking sanity, per-bank budget splits).
+ * Runtime invariant-audit mode: SIM_ASSERT checks for the model's
+ * bookkeeping identities (DRAM stall-subset books, telemetry window
+ * chaining, MSHR booking sanity, per-bank budget splits, MSHR
+ * retirement floors).
  *
  * Two gates, mirroring the obs subsystem's overhead discipline:
  *

@@ -500,6 +500,13 @@ Cache::mshrsFull(Cycle now)
 }
 
 void
+Cache::retireFills(Cycle floor)
+{
+    if (!contentionEnabled())
+        pending.pruneExpired(floor);
+}
+
+void
 Cache::setCompanion(LlcCompanion *companion_)
 {
     companion = companion_;

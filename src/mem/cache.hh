@@ -189,6 +189,18 @@ class Cache
     /** True when all MSHRs are busy at @p now. */
     bool mshrsFull(Cycle now);
 
+    /**
+     * Drop pending fills that completed by @p floor, a global lower
+     * bound on every later query's clock (Simulator::runWindow), so a
+     * dropped entry would have read as expired anyway.  Caches with
+     * the bank contention model keep their book: a shared bank's
+     * mshrsFull() prunes at whichever core's clock asks first, and
+     * whether that prune happens at all hinges on the book's size —
+     * retiring entries here would change which fills lagging cores can
+     * still merge with.
+     */
+    void retireFills(Cycle floor);
+
     // ---- bank contention model (bankServiceCycles > 0) ---------------
     /** The contention model is active on this cache. */
     bool contentionEnabled() const { return params.bankServiceCycles > 0; }

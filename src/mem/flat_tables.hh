@@ -18,10 +18,7 @@
 #ifndef GARIBALDI_MEM_FLAT_TABLES_HH
 #define GARIBALDI_MEM_FLAT_TABLES_HH
 
-#include <algorithm>
 #include <cstddef>
-#include <functional>
-#include <utility>
 #include <vector>
 
 #include "common/intmath.hh"
@@ -51,23 +48,18 @@ tableCapacity(std::size_t expected)
  * Open-addressed line → ready-cycle map modeling in-flight fills.
  *
  * Matches the lazy-expiry semantics of the map it replaces (entries are
- * only observed-and-erased by lookups), but stays bounded on long runs:
- * when the table would grow, entries whose ready time lies more than
- * kExpirySlack cycles behind the latest scheduled fill are swept first.
- * The simulator bounds cross-core clock skew to a few thousand cycles,
- * so no core can still observe such an entry as in flight and the sweep
- * is behavior-neutral.
+ * only observed-and-erased by lookups), and is kept small by its owner:
+ * the simulator retires completed fills at a global simulated-time
+ * floor (Cache::retireFills), and mshrsFull() prunes at the caller's
+ * clock, so a book holds little more than the fills still in flight and
+ * pruneExpired() is a plain sweep of the table.
  *
- * Expiry is a lazy min-heap of (ready, key) records: set() pushes one
- * record per booking and never edits old ones, and pruneExpired() pops
- * records whose time has come, tombstoning the table entry only when
- * the record still matches it (a refresh, erase or compact leaves a
- * stale record behind, which the pop just skips).  Every (key, ready)
- * pair in the table has a matching record, so draining the heap to
- * @c now leaves the table holding exactly the fills still in flight —
- * an O(log n) push per booking instead of a capacity-wide sweep per
- * query, which matters because steady-state occupancy (every miss
- * books, MSHR pressure notwithstanding) runs well past the MSHR count.
+ * Callers that never set a floor (unit tests, hierarchy-only benches)
+ * stay bounded on long runs too: when the table would grow, entries
+ * whose ready time lies more than kExpirySlack cycles behind the latest
+ * scheduled fill are swept first.  The simulator bounds cross-core
+ * clock skew to a few thousand cycles, so no core can still observe
+ * such an entry as in flight and the sweep is behavior-neutral.
  */
 class PendingTable
 {
@@ -77,7 +69,6 @@ class PendingTable
           ready(flat::tableCapacity(expected), 0),
           baseCap(keys.size())
     {
-        expiry.reserve(keys.size() * 4);
     }
 
     /** Record (or refresh) an in-flight fill of @p key. */
@@ -94,7 +85,7 @@ class PendingTable
         while (true) {
             if (keys[i] == key) {
                 ready[i] = ready_at;
-                break;
+                return;
             }
             if (keys[i] == flat::kEmptyKey) {
                 if (first_tomb != keys.size()) {
@@ -104,19 +95,12 @@ class PendingTable
                 keys[i] = key;
                 ready[i] = ready_at;
                 ++filled;
-                break;
+                return;
             }
             if (keys[i] == flat::kTombKey && first_tomb == keys.size())
                 first_tomb = i;
             i = (i + 1) & mask;
         }
-        expiry.emplace_back(ready_at, key);
-        std::push_heap(expiry.begin(), expiry.end(), std::greater<>{});
-        // Stale records (refreshes, erases, compact drops) accumulate
-        // when the owner rarely prunes; rebuild from the live table
-        // before they dominate.
-        if (expiry.size() > keys.size() * 4)
-            rebuildExpiry();
     }
 
     /** Ready cycle of @p key, or 0 when no fill is in flight. */
@@ -152,34 +136,25 @@ class PendingTable
         }
     }
 
-    /**
-     * Drop every entry whose ready time has passed @p now: pop expiry
-     * records due by @p now and tombstone each one that still matches
-     * its table entry (mismatches are stale records of a booking that
-     * was since refreshed, erased or dropped — skipped).
-     */
+    /** Drop every entry whose ready time has passed @p now. */
     void
     pruneExpired(Cycle now)
     {
-        while (!expiry.empty() && expiry.front().first <= now) {
-            std::pop_heap(expiry.begin(), expiry.end(),
-                          std::greater<>{});
-            auto [r, k] = expiry.back();
-            expiry.pop_back();
-            std::size_t mask = keys.size() - 1;
-            std::size_t i = static_cast<std::size_t>(mix64(k)) & mask;
-            while (keys[i] != flat::kEmptyKey) {
-                if (keys[i] == k) {
-                    if (ready[i] == r) {
-                        keys[i] = flat::kTombKey;
-                        --filled;
-                        ++tombs;
-                    }
-                    break;
-                }
-                i = (i + 1) & mask;
-            }
+        if (filled == 0)
+            return;
+        // Branch-free: whether a slot expires is unpredictable.
+        std::size_t dropped = 0;
+        for (std::size_t i = 0; i < keys.size(); ++i) {
+            bool expired = keys[i] < flat::kTombKey && ready[i] <= now;
+            keys[i] = expired ? flat::kTombKey : keys[i];
+            dropped += expired;
         }
+        filled -= dropped;
+        tombs += dropped;
+        // A sweep that leaves mostly tombstones rebuilds the table at
+        // a size that fits the survivors, so the next sweep is short.
+        if (tombs * 2 >= keys.size())
+            compact();
     }
 
     std::size_t size() const { return filled; }
@@ -193,9 +168,9 @@ class PendingTable
      * plus cross-core skew, and under saturated-contention sweeps that
      * tail reaches tens of thousands of cycles — a 64k horizon was
      * observed to flip pendingReady() answers on the 16-core banked
-     * contention mix.  4M cycles is far beyond any latency the timing
-     * model can produce.  (Routine cleanup is pruneExpired(), which is
-     * exact; this slack only gates the compaction fallback.)
+     * contention mix.  256k cycles is far beyond any latency the
+     * timing model can produce.  (Routine cleanup is pruneExpired(),
+     * which is exact; this slack only gates the compaction fallback.)
      */
     static constexpr Cycle kExpirySlack = Cycle{1} << 18;
 
@@ -237,21 +212,8 @@ class PendingTable
         }
     }
 
-    /** Rebuild the expiry heap to exactly the table's live pairs. */
-    void
-    rebuildExpiry()
-    {
-        expiry.clear();
-        for (std::size_t i = 0; i < keys.size(); ++i)
-            if (keys[i] < flat::kTombKey)
-                expiry.emplace_back(ready[i], keys[i]);
-        std::make_heap(expiry.begin(), expiry.end(), std::greater<>{});
-    }
-
     std::vector<Addr> keys;
     std::vector<Cycle> ready;
-    /** Min-heap of (ready, key) bookings; may hold stale records. */
-    std::vector<std::pair<Cycle, Addr>> expiry;
     std::size_t baseCap;      //!< construction capacity (shrink floor)
     std::size_t filled = 0;
     std::size_t tombs = 0;

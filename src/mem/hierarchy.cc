@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/audit.hh"
 #include "common/intmath.hh"
 #include "common/logging.hh"
 #include "common/stat_kind.hh"
@@ -97,8 +98,27 @@ MemoryHierarchy::submitBatch(const TimedAccess *batch, std::size_t count,
 }
 
 void
+MemoryHierarchy::retireFills(Cycle floor)
+{
+    SIM_ASSERT(floor >= lastRetiredFloor, "hierarchy: retirement floor ",
+               floor, " is below the previous floor ", lastRetiredFloor);
+    lastRetiredFloor = floor;
+    for (auto &c : l1is)
+        c->retireFills(floor);
+    for (auto &c : l1ds)
+        c->retireFills(floor);
+    for (auto &c : l2s)
+        c->retireFills(floor);
+    for (std::uint32_t b = 0; b < llcSet->numBanks(); ++b)
+        llcSet->bank(b).retireFills(floor);
+}
+
+void
 MemoryHierarchy::execute(Transaction &txn)
 {
+    SIM_ASSERT(txn.issued >= lastRetiredFloor, "hierarchy: transaction "
+               "issued at ", txn.issued, " precedes the retirement floor ",
+               lastRetiredFloor);
     txn.cluster = clusterOf(txn.req.core);
     Cache &l1 = txn.req.isInstr ? *l1is[txn.req.core]
                                 : *l1ds[txn.req.core];

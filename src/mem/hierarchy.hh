@@ -105,6 +105,17 @@ class MemoryHierarchy
     /** Run @p txn through the staged pipeline. */
     void execute(Transaction &txn);
 
+    /**
+     * Drop every cache's pending fills that completed by @p floor
+     * (Cache::retireFills).  @p floor must be a lower bound on the
+     * issue time of every later transaction and must never decrease;
+     * audit mode checks both.
+     */
+    void retireFills(Cycle floor);
+
+    /** The last floor passed to retireFills() (0 before the first). */
+    Cycle retiredFloor() const { return lastRetiredFloor; }
+
     /** Attach the Garibaldi module to the LLC banks. */
     void setLlcCompanion(LlcCompanion *companion);
 
@@ -187,6 +198,7 @@ class MemoryHierarchy
     SIM_PER_WORKER std::vector<std::uint32_t>
         invalScratch; // directory sharer lists
     SIM_PER_WORKER DecayingCounterTable instrCrit;
+    SIM_PER_WORKER Cycle lastRetiredFloor = 0;
     SIM_EPOCH_MERGED(sum) std::uint64_t mshrStalls = 0;
     SIM_EPOCH_MERGED(sum) std::uint64_t coherencePenaltyCycles = 0;
 };

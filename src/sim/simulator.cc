@@ -112,11 +112,27 @@ Simulator::runWindow(std::uint64_t instructions_per_core,
     // which the DRAM bandwidth model needs for sane queueing.
     constexpr Cycle kHysteresis = 32;
 
+    // Completed fills are retired from the MSHR books at the global
+    // clock floor: the minimum clock over all cores, below which no
+    // later transaction can issue (a core issues at its own clock,
+    // which never runs backwards).  The popped clock alone is not that
+    // floor — cores that used up this window's quota have left the
+    // heap and may trail it, and they resume from their own clocks in
+    // the next window — so the floor also takes the minimum over them.
+    // Retiring only every kRetireInterval cycles of floor advance keeps
+    // the sweeps rare while the books stay near their in-flight size.
+    constexpr Cycle kRetireInterval = 1024;
+    MemoryHierarchy &mem = sys.hierarchy();
+    Cycle finished_floor = ~Cycle{0};
+
     while (!heap.empty()) {
         auto [when, c] = heap.top();
         heap.pop();
-        // The popped clock is a monotone non-decreasing lower bound on
-        // global simulated time (every other core is at or beyond it),
+        Cycle floor = std::min(when, finished_floor);
+        if (floor >= mem.retiredFloor() + kRetireInterval)
+            mem.retireFills(floor);
+        // The popped clock never decreases within one window (cores
+        // only move forward, and a finished core leaves the heap),
         // which makes it the natural telemetry boundary: every event
         // counted before this point happened before `when` plus at most
         // the bounded cross-core skew.
@@ -140,6 +156,8 @@ Simulator::runWindow(std::uint64_t instructions_per_core,
         }
         if (remaining[c] > 0)
             heap.emplace(core.now(), c);
+        else
+            finished_floor = std::min(finished_floor, core.now());
     }
 }
 

@@ -13,6 +13,7 @@
 #include "common/cli.hh"
 #include "common/stats.hh"
 #include "mem/cache.hh"
+#include "mem/hierarchy.hh"
 #include "mem/llc_bank_set.hh"
 #include "obs/telemetry.hh"
 
@@ -28,6 +29,34 @@ class AuditTest : public ::testing::Test
     void SetUp() override { audit::setEnabled(true); }
     void TearDown() override { audit::setEnabled(false); }
 };
+
+/** One core, no prefetchers: enough hierarchy to issue transactions. */
+HierarchyParams
+tinyHierarchy()
+{
+    HierarchyParams h;
+    h.numCores = 1;
+    h.coresPerL2 = 1;
+    h.l1i.sizeBytes = 4 * 1024;
+    h.l1i.assoc = 4;
+    h.l1d = h.l1i;
+    h.l2.sizeBytes = 16 * 1024;
+    h.l2.assoc = 4;
+    h.llc.sizeBytes = 64 * 1024;
+    h.llc.assoc = 8;
+    h.l1dNextLinePrefetcher = false;
+    h.l2GhbPrefetcher = false;
+    h.l1iIspyPrefetcher = false;
+    return h;
+}
+
+MemAccess
+loadAt(Addr paddr)
+{
+    MemAccess a;
+    a.paddr = paddr;
+    return a;
+}
 
 TEST(AuditModeTest, CompiledInByDefaultBuild)
 {
@@ -65,6 +94,10 @@ TEST(AuditModeTest, DisabledChecksAreSilentOnCorruptState)
     // Flagrantly violated invariants must not panic with auditing off.
     audit::checkStallSubset("dram", 100, 100, 1);
     audit::checkMshrBudgetSplit("llc", 10, 4, 3);
+    MemoryHierarchy mem(tinyHierarchy());
+    mem.retireFills(2000);
+    mem.retireFills(1000);
+    mem.access(loadAt(0x1000), 500);
     SUCCEED();
 }
 
@@ -130,6 +163,34 @@ TEST_F(AuditTest, AddPendingSilentOnFutureCompletion)
     c.addPending(0x2000, 7, 7);
     c.addPending(0x3000, 9);  // clockless caller: now defaults to 0
     SUCCEED();
+}
+
+// ---- MSHR retirement floor -----------------------------------------
+
+TEST_F(AuditTest, RetireFillsFiresWhenTheFloorDecreases)
+{
+    MemoryHierarchy mem(tinyHierarchy());
+    mem.retireFills(2000);
+    EXPECT_DEATH(mem.retireFills(1999), "audit: ");
+}
+
+TEST_F(AuditTest, ExecuteFiresOnTransactionBelowTheFloor)
+{
+    MemoryHierarchy mem(tinyHierarchy());
+    mem.retireFills(2000);
+    EXPECT_DEATH(mem.access(loadAt(0x1000), 1999), "audit: ");
+}
+
+TEST_F(AuditTest, RetireFillsSilentOnMonotoneFloorAndLaterIssues)
+{
+    MemoryHierarchy mem(tinyHierarchy());
+    mem.access(loadAt(0x1000), 0);
+    mem.retireFills(1000);
+    mem.retireFills(1000);  // an unchanged floor is fine
+    mem.access(loadAt(0x2000), 1000);
+    mem.retireFills(3000);
+    mem.access(loadAt(0x1000), 3500);
+    EXPECT_EQ(mem.retiredFloor(), 3000u);
 }
 
 // ---- Telemetry window chaining -------------------------------------

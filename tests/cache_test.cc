@@ -2,12 +2,15 @@
  * @file
  * Unit tests for the set-associative cache: geometry, hit/miss paths,
  * eviction/writeback, MSHR pending-merge, the instruction bit, the
- * prefetched bit, the I-oracle mode, way partitioning and the QBS
- * companion hooks.
+ * prefetched bit, the I-oracle mode, way partitioning, the QBS
+ * companion hooks, and the MSHR book against a std::map reference.
  */
 
 #include <gtest/gtest.h>
 
+#include <map>
+
+#include "common/rng.hh"
 #include "mem/cache.hh"
 
 namespace garibaldi
@@ -166,6 +169,143 @@ TEST(Cache, MshrsFullDetection)
     EXPECT_TRUE(c.mshrsFull(0));
     // Completed fills free MSHRs.
     EXPECT_FALSE(c.mshrsFull(2000));
+}
+
+/**
+ * Obviously-correct MSHR book: line → ready cycle in a std::map, with
+ * Cache's pending-fill semantics spelled out one rule per method.
+ */
+struct RefMshrBook
+{
+    std::map<Addr, Cycle> fills;
+    std::size_t mshrs = 0;
+
+    Cycle
+    raw(Addr key) const
+    {
+        auto it = fills.find(key);
+        return it == fills.end() ? 0 : it->second;
+    }
+
+    void
+    prune(Cycle now)
+    {
+        for (auto it = fills.begin(); it != fills.end();)
+            it = it->second <= now ? fills.erase(it) : std::next(it);
+    }
+
+    /** Cache::pendingReady: an expired entry is erased on sight. */
+    Cycle
+    pendingReady(Addr key, Cycle now)
+    {
+        Cycle ready = raw(key);
+        if (ready != 0 && ready <= now) {
+            fills.erase(key);
+            return 0;
+        }
+        return ready;
+    }
+
+    /** Cache::mshrsFull: prunes at @p now only when the book is full. */
+    bool
+    mshrsFull(Cycle now)
+    {
+        if (fills.size() < mshrs)
+            return false;
+        prune(now);
+        return fills.size() >= mshrs;
+    }
+};
+
+TEST(Cache, MshrBookMatchesMapReferenceUnderSkewedClocks)
+{
+    // Two books in lockstep with one reference each over one random op
+    // stream: the bare PendingTable (set/get/erase/prune/retire) and a
+    // Cache's MSHR interface (addPending/pendingReady/mshrsFull/
+    // retireFills).  Query clocks lead a monotone floor by a random
+    // skew, as cores do in the simulator, and the floor is retired
+    // every 1024 cycles of advance, as Simulator::runWindow does.
+    constexpr std::uint32_t kMshrs = 8;
+    constexpr std::uint32_t kLines = 512;
+    constexpr std::uint32_t kSkew = 2000;
+    constexpr std::uint32_t kMaxLatency = 600;
+    CacheParams p = smallParams();
+    p.mshrs = kMshrs;
+    Cache cache(p);
+    PendingTable table(kMshrs);
+    RefMshrBook ref_table;
+    RefMshrBook ref_cache;
+    ref_cache.mshrs = kMshrs;
+
+    Pcg32 rng(0x5eed);
+    Cycle floor = 0;
+    Cycle retired = 0;
+    for (int op = 0; op < 1000000; ++op) {
+        floor += rng.nextBounded(4);
+        if (floor >= retired + 1024) {
+            retired = floor;
+            table.pruneExpired(floor);
+            ref_table.prune(floor);
+            cache.retireFills(floor);
+            ref_cache.prune(floor);
+            ASSERT_EQ(table.size(), ref_table.fills.size()) << "op " << op;
+        }
+        Cycle now = floor + rng.nextBounded(kSkew);
+        Addr key = rng.nextBounded(kLines);
+        Addr line_addr = key << kLineShift;
+        std::uint32_t kind = rng.nextBounded(100);
+        if (kind < 40) {
+            Cycle ready = now + 1 + rng.nextBounded(kMaxLatency);
+            table.set(key, ready);
+            ref_table.fills[key] = ready;
+            cache.addPending(line_addr, ready, now);
+            ref_cache.fills[key] = ready;
+        } else if (kind < 70) {
+            ASSERT_EQ(table.get(key), ref_table.raw(key)) << "op " << op;
+            ASSERT_EQ(cache.pendingReady(line_addr, now),
+                      ref_cache.pendingReady(key, now))
+                << "op " << op;
+        } else if (kind < 75) {
+            table.erase(key);
+            ref_table.fills.erase(key);
+        } else {
+            table.pruneExpired(now);
+            ref_table.prune(now);
+            ASSERT_EQ(table.size(), ref_table.fills.size()) << "op " << op;
+            ASSERT_EQ(cache.mshrsFull(now), ref_cache.mshrsFull(now))
+                << "op " << op;
+        }
+    }
+}
+
+TEST(Cache, RetireFillsSkipsContentionModelledBanks)
+{
+    // Three fills on a 3-MSHR book.  Retiring the first at floor 120
+    // shrinks the book below the MSHR count, so a leading core's
+    // mshrsFull() at 160 no longer prunes — and a lagging core at 130
+    // (still above the floor) merges with fill B, which the prune
+    // would have hidden.  That is harmless where mshrsFull() sees one
+    // core's monotone clock (L1s) or is never called (L2s, uncontended
+    // LLC banks), but a contention-modelled LLC bank runs mshrsFull()
+    // for every core, so it keeps its book and its old answers.
+    auto lagging_merge = [](bool contention, bool retire) {
+        CacheParams p = smallParams();
+        p.mshrs = 3;
+        if (contention)
+            p.bankServiceCycles = 4;
+        Cache c(p);
+        c.addPending(0x1000, 100, 50);  // A
+        c.addPending(0x2000, 150, 50);  // B
+        c.addPending(0x3000, 400, 50);  // C
+        if (retire)
+            c.retireFills(120);
+        EXPECT_FALSE(c.mshrsFull(160));
+        return c.pendingReady(0x2000, 130);
+    };
+    EXPECT_EQ(lagging_merge(false, false), 0u);
+    EXPECT_EQ(lagging_merge(false, true), 150u);
+    EXPECT_EQ(lagging_merge(true, false), 0u);
+    EXPECT_EQ(lagging_merge(true, true), 0u);
 }
 
 TEST(Cache, OracleInstrAlwaysHitsAfterFirstTouch)
