@@ -113,7 +113,7 @@ main(int argc, char **argv)
     if (obs_dir.empty() && obs_template.anyOn())
         fatal("sweep observability writes per-job artifacts; add "
               "--obs-dir DIR");
-    int num_mixes = static_cast<int>(args.getInt("mixes"));
+    int num_mixes = static_cast<int>(args.getCount("mixes"));
     if (b.full)
         num_mixes = std::max(num_mixes, 4);
     bool contention = args.getFlag("contention");

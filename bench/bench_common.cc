@@ -30,15 +30,12 @@ BenchArgs
 BenchArgs::from(const ArgParser &args)
 {
     BenchArgs b;
-    b.cores = static_cast<std::uint32_t>(args.getInt("cores"));
-    b.warmup = static_cast<std::uint64_t>(args.getInt("warmup"));
-    b.detailed = static_cast<std::uint64_t>(args.getInt("instr"));
-    b.seed = static_cast<std::uint64_t>(args.getInt("seed"));
-    b.llcBanks = static_cast<std::uint32_t>(args.getInt("llc-banks"));
-    std::int64_t jobs = args.getInt("jobs");
-    if (jobs < 0)
-        fatal("--jobs must be >= 0 (got ", jobs, ")");
-    b.jobs = static_cast<std::uint32_t>(jobs);
+    b.cores = static_cast<std::uint32_t>(args.getCount("cores"));
+    b.warmup = args.getCount("warmup");
+    b.detailed = args.getCount("instr");
+    b.seed = args.getCount("seed");
+    b.llcBanks = static_cast<std::uint32_t>(args.getCount("llc-banks"));
+    b.jobs = static_cast<std::uint32_t>(args.getCount("jobs"));
     audit::applyAuditArg(args);
     b.full = args.getFlag("full");
     b.csv = args.getFlag("csv");

@@ -27,7 +27,7 @@ main(int argc, char **argv)
     args.addInt("mixes", 10, "number of random mixes (60 in the paper)");
     args.parse(argc, argv);
     BenchArgs b = BenchArgs::from(args);
-    int mixes = static_cast<int>(args.getInt("mixes"));
+    int mixes = static_cast<int>(args.getCount("mixes"));
     if (b.full)
         mixes = std::max(mixes, 60);
 

@@ -61,7 +61,7 @@ main(int argc, char **argv)
     args.addString("part", "abcd", "which subfigures to run");
     args.parse(argc, argv);
     BenchArgs b = BenchArgs::from(args);
-    int num_mixes = static_cast<int>(args.getInt("mixes"));
+    int num_mixes = static_cast<int>(args.getCount("mixes"));
     if (b.full)
         num_mixes = std::max(num_mixes, 10);
     const std::string &part = args.getString("part");

@@ -26,7 +26,7 @@ main(int argc, char **argv)
     args.addString("part", "ab", "which subfigures to run");
     args.parse(argc, argv);
     BenchArgs b = BenchArgs::from(args);
-    int num_mixes = static_cast<int>(args.getInt("mixes"));
+    int num_mixes = static_cast<int>(args.getCount("mixes"));
     if (b.full)
         num_mixes = std::max(num_mixes, 6);
     const std::string &part = args.getString("part");

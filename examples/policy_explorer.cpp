@@ -44,13 +44,13 @@ main(int argc, char **argv)
     args.parse(argc, argv);
 
     std::uint32_t cores =
-        static_cast<std::uint32_t>(args.getInt("cores"));
+        static_cast<std::uint32_t>(args.getCount("cores"));
     SystemConfig cfg = defaultConfig(cores);
     cfg.llcPolicy = parsePolicyKind(args.getString("policy"));
     cfg.garibaldiEnabled = args.getFlag("garibaldi");
     cfg.llcInstrOracle = args.getFlag("oracle");
     cfg.llcInstrPartitionWays =
-        static_cast<std::uint32_t>(args.getInt("partition"));
+        static_cast<std::uint32_t>(args.getCount("partition"));
     const std::string &tm = args.getString("threshold-mode");
     if (tm == "fixed")
         cfg.garibaldi.thresholdMode = ThresholdMode::Fixed;
@@ -58,15 +58,14 @@ main(int argc, char **argv)
         cfg.garibaldi.thresholdMode = ThresholdMode::AllProtected;
     cfg.garibaldi.fixedThresholdDelta =
         static_cast<int>(args.getInt("threshold-delta"));
-    cfg.garibaldi.k = static_cast<unsigned>(args.getInt("k"));
+    cfg.garibaldi.k = static_cast<unsigned>(args.getCount("k"));
     cfg.garibaldi.qbsMaxAttempts =
-        static_cast<unsigned>(args.getInt("qbs-attempts"));
+        static_cast<unsigned>(args.getCount("qbs-attempts"));
     cfg.garibaldi.pairTableEntries =
-        static_cast<std::uint32_t>(args.getInt("pair-entries"));
+        static_cast<std::uint32_t>(args.getCount("pair-entries"));
 
-    ExperimentContext ctx(
-        cfg, static_cast<std::uint64_t>(args.getInt("warmup")),
-        static_cast<std::uint64_t>(args.getInt("instr")));
+    ExperimentContext ctx(cfg, args.getCount("warmup"),
+                          args.getCount("instr"));
     Mix mix = homogeneousMix(args.getString("workload"), cores);
 
     std::printf("machine: %s\n", cfg.summary().c_str());

@@ -41,13 +41,10 @@ main(int argc, char **argv)
     audit::applyAuditArg(args);
 
     std::uint32_t cores = static_cast<std::uint32_t>(
-        args.getInt("cores"));
+        args.getCount("cores"));
     SystemConfig base = defaultConfig(cores);
-    ExperimentContext ctx(base,
-                          static_cast<std::uint64_t>(
-                              args.getInt("warmup")),
-                          static_cast<std::uint64_t>(
-                              args.getInt("instr")));
+    ExperimentContext ctx(base, args.getCount("warmup"),
+                          args.getCount("instr"));
 
     Mix mix = homogeneousMix(args.getString("workload"), cores);
     std::printf("machine: %s\nworkload: %s x%u\n\n",

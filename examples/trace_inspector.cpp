@@ -31,8 +31,7 @@ main(int argc, char **argv)
     args.parse(argc, argv);
 
     WorkloadParams params = workloadByName(args.getString("workload"));
-    SynthWorkload w(params,
-                    static_cast<std::uint64_t>(args.getInt("seed")));
+    SynthWorkload w(params, args.getCount("seed"));
 
     std::printf("workload: %s (%s)\n", params.name.c_str(),
                 params.isServer ? "server" : "spec");
@@ -66,7 +65,7 @@ main(int argc, char **argv)
     }
 
     // ---- Profile -----------------------------------------------------
-    std::uint64_t total = static_cast<std::uint64_t>(args.getInt("ops"));
+    std::uint64_t total = args.getCount("ops");
     std::set<Addr> ilines, dlines;
     std::map<Addr, std::uint64_t> iline_counts, dline_counts;
     std::uint64_t loads = 0, stores = 0, branches = 0, taken = 0,

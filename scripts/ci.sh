@@ -1,9 +1,20 @@
 #!/usr/bin/env bash
-# Tier-1 verify with warnings promoted to errors, the hot-path
-# throughput microbenchmark, and the sweep-engine determinism +
-# wall-clock checks.  Emits BENCH_micro_pipeline.json (accesses/sec)
-# and BENCH_sweep.json (parallel speedup) so the perf trajectory is
-# tracked across PRs.  Usage: scripts/ci.sh [build-dir]
+# Full CI, in order:
+#   1. configure + build with -Werror, then ctest (unit tests, lint
+#      fixtures, golden byte-identity);
+#   2. the determinism lint over src/ bench/ examples/ (report:
+#      lint_determinism.json);
+#   3. the clang-tidy and clang -Wthread-safety lanes (SKIP without
+#      clang);
+#   4. --jobs 1 vs 8 byte-identity of bank_sensitivity: plain, bank
+#      contention, DRAM contention, DRAM timing, and traced with
+#      --obs-dir; plus a traced quickstart and the tracing overhead;
+#   5. micro_pipeline throughput against scripts/perf_floors.json, and
+#      micro_structures when google-benchmark is present;
+#   6. the ASan+UBSan and TSan lanes (CI_SANITIZE=0 skips them).
+# Each stage archives a BENCH_*.json under the build dir;
+# BENCH_correctness.json records which gates ran and which skipped.
+# Usage: scripts/ci.sh [build-dir]
 set -euo pipefail
 
 repo="$(cd "$(dirname "$0")/.." && pwd)"
@@ -34,43 +45,6 @@ else
   echo "determinism lint: SKIP (no python3 on PATH)"
 fi
 
-# Sharing analyzer: hard gate at zero findings over src/, including
-# the merge-mismatch rule (each StatSet::add site's kind against the
-# SIM_EPOCH_MERGED members its value reads); the emitted sharing map
-# is the machine-readable contract the parallelism PR will consume
-# (fixture corpus: sharing_lint_fixtures ctest; map shape:
-# sharing_map_test ctest).
-echo "== sharing analyzer (src/) =="
-sharing_status="pass"
-if command -v python3 > /dev/null 2>&1; then
-  python3 "$repo/scripts/analyze_sharing.py" \
-      --emit "$build/sharing_map.json" \
-      --json "$build/analyze_sharing.json" "$repo/src"
-  echo "sharing analyzer: clean (map: $build/sharing_map.json)"
-else
-  sharing_status="skip (no python3)"
-  echo "sharing analyzer: SKIP (no python3 on PATH)"
-fi
-
-# One aggregated machine-readable report across the two lints.
-if command -v python3 > /dev/null 2>&1; then
-  python3 - "$build" <<'EOF'
-import json, os, sys
-build = sys.argv[1]
-tools = ["lint_determinism", "analyze_sharing"]
-report = {"schema": "garibaldi-lint-report-v1", "tools": {}}
-for t in tools:
-    p = os.path.join(build, t + ".json")
-    doc = json.load(open(p))
-    report["tools"][doc["tool"]] = doc["findings"]
-out = os.path.join(build, "lint_report.json")
-json.dump(report, open(out, "w"), indent=2, sort_keys=True)
-total = sum(len(v) for v in report["tools"].values())
-print("lint report: %d finding(s) across %d tools -> %s"
-      % (total, len(tools), out))
-EOF
-fi
-
 # clang-tidy gate: zero warnings via WarningsAsErrors in .clang-tidy;
 # SKIPs on toolchains without clang-tidy (this container ships GCC
 # only) rather than failing.
@@ -83,7 +57,7 @@ case "$tidy_out" in
 esac
 
 # Clang thread-safety lane: -Wthread-safety -Wthread-safety-beta as
-# errors over every TU, driven by the src/common/sharing.hh
+# errors over every TU, driven by the src/common/thread_safety.hh
 # annotations; SKIPs honestly on GCC-only hosts.
 echo "== clang thread-safety lane =="
 ts_out=$("$repo/scripts/thread_safety.sh") || { echo "$ts_out"; exit 1; }
@@ -416,7 +390,6 @@ fi
 cat > "$build/BENCH_correctness.json" <<EOF
 {
   "lint_determinism": "$lint_status",
-  "sharing_lint": "$sharing_status",
   "clang_tidy": "$tidy_status",
   "thread_safety": "$thread_safety_status",
   "asan_ubsan_lane": "$asan_status",

@@ -29,14 +29,21 @@ flags the source patterns that historically cause such breaks:
                        name (+= accumulation in the same file).
                        Counters must be integral; float accumulation
                        order is not associative.
-  static-mutable       a function-local static or file/namespace-scope
-                       static variable that is not const/constexpr.
-                       Hidden mutable statics are a replay hazard (state
-                       leaks across runs in one process) and a sharding
-                       hazard for the intra-sim parallelism work; such
-                       state must be hoisted into an owner object or
-                       classified via src/common/sharing.hh and
-                       scripts/analyze_sharing.py.
+  static-mutable       mutable state that outlives a call: a static
+                       that is not const/constexpr at function, file,
+                       namespace or class scope (a static data member),
+                       or a non-const variable at file or namespace
+                       scope.  Hidden mutable globals are a replay
+                       hazard (state leaks across runs in one process)
+                       and a data race once sweep workers run sims side
+                       by side (--jobs byte-identity); hoist the state
+                       into an owner object.
+  mutable-unguarded    a `mutable` data member that is neither
+                       SIM_GUARDED_BY a capability nor a SimMutex
+                       itself (src/common/thread_safety.hh).  Mutation
+                       through const paths is exactly what concurrent
+                       const readers do not expect; without a lock it
+                       is a race.
 
 Suppression: a finding is waived by an annotation on the same line or
 the line directly above:
@@ -47,8 +54,8 @@ The justification is mandatory; a bare allow() is itself a finding.
 
 Usage: lint_determinism.py [--json PATH] [--list-rules]
                            <file-or-dir>...
---json writes the common machine-readable findings report (rule, file,
-line, message) that ci.sh aggregates across both lints.
+--json writes the machine-readable findings report (rule, file, line,
+message) that ci.sh keeps as its lint report.
 Exit status: 0 when clean, 1 when findings (or bad usage).
 """
 
@@ -66,6 +73,7 @@ RULES = (
     "pointer-ordering",
     "float-counter",
     "static-mutable",
+    "mutable-unguarded",
 )
 
 EXTS = (".cc", ".hh", ".cpp", ".hpp", ".h")
@@ -144,45 +152,115 @@ def scan_rule(findings, path, stripped_lines, rule, pattern, msg):
             findings.append(Finding(path, ln, rule, msg))
 
 
-def static_mutable_scan(findings, path, rel, stripped):
-    """Flag non-const statics at function, file, or namespace scope.
-    Class-scope statics (member declarations, method declarations) are
-    the class's business and are covered by analyze_sharing.py."""
+def mutable_head(stmt):
+    """Declarator head of @p stmt (everything before any initializer,
+    template arguments and SIM_ attribute macros removed), or None when
+    the statement declares something immutable or is a function."""
+    head = re.split(r"[={]", stmt, 1)[0]
+    if re.search(r"\b(?:const|constexpr|constinit)\b", head):
+        return None
+    head = collapse_angles(head)
+    head = re.sub(r"\bSIM_\w+\s*\([^()]*\)", "", head)
+    # Function declaration/definition.  (Ctor-paren variable
+    # initializers also land here — the codebase's brace-init style
+    # keeps that blind spot empty.)
+    return None if "(" in head else head
+
+
+def namespace_statements(text, scopes):
+    """(offset, text) of every statement directly at file or namespace
+    scope.  Nested brace groups (function and class bodies, brace
+    initializers) collapse to '{}', and a group's closing brace ends
+    its statement, since a function definition carries no ';'."""
+    groups = {s.open_idx: s.close_idx for s in scopes
+              if s.kind != "namespace"}
+    start, buf = None, []
+    i = 0
+    while i < len(text):
+        c = text[i]
+        if i in groups:
+            if start is None:
+                start = i
+            yield start, "".join(buf) + "{}"
+            start, buf = None, []
+            i = groups[i] + 1
+            continue
+        if c in "{};":  # namespace brace or end of statement
+            if c == ";" and start is not None:
+                yield start, "".join(buf)
+            start, buf = None, []
+        elif not c.isspace():
+            if start is None:
+                start = i
+            buf.append(c)
+        elif buf:
+            buf.append(" ")
+        i += 1
+
+
+# Statements at namespace scope that never define a variable.
+NON_VARIABLE_RE = re.compile(
+    r"^(?:template|using|typedef|friend|static_assert|class|struct|"
+    r"union|enum|namespace|extern)\b|\boperator\b")
+
+STATIC_MUTABLE_MSG = (
+    "mutable state outside any owner object is shared across all "
+    "callers: a replay hazard, and a data race between sweep workers; "
+    "make it const or hoist it into an owner object")
+
+
+def static_mutable_scan(findings, path, rel, stripped, scopes):
+    """Flag non-const statics at any scope and non-const variables at
+    file or namespace scope."""
     if any(x in rel for x in STATIC_MUTABLE_SKIP):
         return
     if any(rel.endswith(x) for x in STATIC_MUTABLE_EXEMPT):
         return
-    # Scope classification on preproc-blanked text so an #include
-    # preamble never pollutes a scope head; the scan itself stays on
-    # `stripped` so statics in macro bodies remain visible (they read
-    # as file scope, which is exactly the hazard).
-    scopes = brace_scopes(strip_preproc(stripped))
+    # The static scan runs on `stripped`, so statics in macro bodies
+    # stay visible (they read as file scope, which is exactly the
+    # hazard).
     for m in re.finditer(r"\bstatic\s+", stripped):
         idx = m.start()
-        if scope_kind_at(scopes, idx) in ("class", "enum"):
-            continue
         end = stripped.find(";", idx)
         if end == -1:
             end = len(stripped)
-        stmt = stripped[idx:min(end, idx + 400)]
-        # Declarator head: everything before any initializer.
-        head = re.split(r"[={]", stmt, 1)[0]
-        if re.search(r"\b(?:const|constexpr|constinit)\b", head):
+        if mutable_head(stripped[idx:min(end, idx + 400)]) is not None:
+            findings.append(Finding(
+                path, stripped.count("\n", 0, idx) + 1, "static-mutable",
+                STATIC_MUTABLE_MSG))
+    # Non-static globals, on preproc-blanked text: a #define's
+    # expansion is checked at its use sites, not as a declaration.
+    for idx, stmt in namespace_statements(strip_preproc(stripped), scopes):
+        if NON_VARIABLE_RE.search(stmt):
             continue
-        head = collapse_angles(head)
-        head = re.sub(r"\bSIM_\w+\s*\([^()]*\)", "", head)
-        if "(" in head:
-            # Function declaration/definition.  (Ctor-paren variable
-            # initializers also land here — the codebase's brace-init
-            # style keeps that blind spot empty.)
+        head = mutable_head(stmt)
+        # A variable needs a type and a name (a lone identifier is the
+        # declarator after a class body); statics were flagged above.
+        if head is None or re.search(r"\bstatic\b", head) or \
+                len(re.findall(r"[A-Za-z_]\w*", head)) < 2:
             continue
         findings.append(Finding(
             path, stripped.count("\n", 0, idx) + 1, "static-mutable",
-            "mutable static state is shared across all callers: a "
-            "replay hazard and a sharding hazard; make it const, hoist "
-            "it into an owner object, or classify it with "
-            "src/common/sharing.hh markers (scripts/analyze_sharing.py "
-            "tracks the classification)"))
+            STATIC_MUTABLE_MSG))
+
+
+def mutable_unguarded_scan(findings, path, stripped, scopes):
+    """Flag `mutable` data members that are neither SIM_GUARDED_BY a
+    capability nor a SimMutex."""
+    for m in re.finditer(r"\bmutable\b", stripped):
+        idx = m.start()
+        if scope_kind_at(scopes, idx) != "class":
+            continue  # a mutable lambda
+        end = stripped.find(";", idx)
+        stmt = stripped[idx:end if end != -1 else len(stripped)]
+        if re.search(r"\bSIM_GUARDED_BY\s*\(", stmt) or \
+                re.search(r"\bSimMutex\b", collapse_angles(stmt)):
+            continue
+        findings.append(Finding(
+            path, stripped.count("\n", 0, idx) + 1, "mutable-unguarded",
+            "mutable member with no lock: const callers may run "
+            "concurrently; guard it with SIM_GUARDED_BY(<SimMutex>) or "
+            "make the mutating method non-const"))
 
 
 def lint_file(path, rel, sibling_unordered):
@@ -265,8 +343,12 @@ def lint_file(path, rel, sibling_unordered):
                     "use an integral counter (float addition is not "
                     "associative)"))
 
-    # -- static-mutable ------------------------------------------------
-    static_mutable_scan(findings, path, rel, stripped)
+    # -- static-mutable, mutable-unguarded -----------------------------
+    # Scope classification on preproc-blanked text so an #include
+    # preamble never pollutes a scope head.
+    scopes = brace_scopes(strip_preproc(stripped))
+    static_mutable_scan(findings, path, rel, stripped, scopes)
+    mutable_unguarded_scan(findings, path, stripped, scopes)
 
     # -- apply allow() annotations -------------------------------------
     kept = []

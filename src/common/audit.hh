@@ -26,7 +26,6 @@
 #include <cstdint>
 
 #include "common/logging.hh"
-#include "common/sharing.hh"
 
 namespace garibaldi
 {
@@ -50,7 +49,8 @@ namespace detail
  * concurrently after main() set it, and the audit build must itself be
  * clean under the TSan lane it is meant to run in.
  */
-SIM_SHARED_SYNC inline std::atomic<bool> enabled_{false};
+// determinism-lint: allow(static-mutable) process-wide --audit switch; main() sets it before any worker starts and it never reaches output
+inline std::atomic<bool> enabled_{false};
 } // namespace detail
 
 /** The --audit knob is on (always false when not compiled in). */

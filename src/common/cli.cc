@@ -1,5 +1,6 @@
 #include "common/cli.hh"
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 
@@ -19,7 +20,7 @@ ArgParser::addInt(const std::string &name, std::int64_t def,
                   const std::string &help)
 {
     options.push_back({name, Kind::Int, help, std::to_string(def),
-                       std::to_string(def)});
+                       std::to_string(def), false, def});
 }
 
 void
@@ -120,6 +121,19 @@ ArgParser::parse(int argc, const char *const *argv)
             value = argv[++i];
         }
         opt->value = value;
+        if (opt->kind == Kind::Int) {
+            // Strict: the whole string must be an in-range integer
+            // (strtoll alone would read "abc" as 0 and "10x" as 10).
+            char *end = nullptr;
+            errno = 0;
+            opt->num = std::strtoll(value.c_str(), &end, 0);
+            if (value.empty() || *end != '\0' || errno == ERANGE) {
+                std::fprintf(stderr,
+                             "error: --%s expects an integer, got '%s'\n",
+                             name.c_str(), value.c_str());
+                std::exit(1);
+            }
+        }
     }
     if (getFlag("help")) {
         usage(argv[0]);
@@ -130,7 +144,16 @@ ArgParser::parse(int argc, const char *const *argv)
 std::int64_t
 ArgParser::getInt(const std::string &name) const
 {
-    return std::strtoll(find(name, Kind::Int)->value.c_str(), nullptr, 0);
+    return find(name, Kind::Int)->num;
+}
+
+std::uint64_t
+ArgParser::getCount(const std::string &name) const
+{
+    std::int64_t v = getInt(name);
+    if (v < 0)
+        fatal("--", name, " must be >= 0 (got ", v, ")");
+    return static_cast<std::uint64_t>(v);
 }
 
 double

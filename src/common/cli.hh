@@ -39,11 +39,14 @@ class ArgParser
 
     /**
      * Parse argv.  On --help prints usage and exits 0; on malformed
-     * input prints an error and exits 1.
+     * input (including an integer option whose value is not entirely
+     * an in-range integer) prints an error and exits 1.
      */
     void parse(int argc, const char *const *argv);
 
     std::int64_t getInt(const std::string &name) const;
+    /** An integer option that counts something: fatal() if negative. */
+    std::uint64_t getCount(const std::string &name) const;
     double getDouble(const std::string &name) const;
     const std::string &getString(const std::string &name) const;
     bool getFlag(const std::string &name) const;
@@ -64,9 +67,10 @@ class ArgParser
         std::string name;
         Kind kind;
         std::string help;
-        std::string value; // textual; parsed on get
+        std::string value; // textual; Double parsed on get
         std::string def;
         bool set = false;  // appeared on the command line
+        std::int64_t num = 0; // Int: value, parsed strictly by parse()
     };
 
     const Option *find(const std::string &name, Kind kind) const;

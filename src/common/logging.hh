@@ -84,11 +84,11 @@ inform(Args &&...args)
  * run.  Macros (not templates) because each *call site* needs its own
  * suppression state; atomics because sweep workers share call sites.
  *
- * Sharing classification: these statics are SIM_SHARED_SYNC in spirit
- * (internally synchronized, relaxed), but markers cannot live inside a
- * backslash-continued macro body, so the waiver is the path exemption
- * in scripts/lint_determinism.py (STATIC_MUTABLE_EXEMPT).  They feed
- * stderr rate-limiting only and never reach simulated output.
+ * These statics are internally synchronized (relaxed atomics), but an
+ * allow() comment cannot live inside a backslash-continued macro body,
+ * so the waiver is the path exemption in scripts/lint_determinism.py
+ * (STATIC_MUTABLE_EXEMPT).  They feed stderr rate-limiting only and
+ * never reach simulated output.
  *
  * warn_once(...): emit on the first hit at this site, swallow the rest.
  */

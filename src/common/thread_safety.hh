@@ -1,44 +1,16 @@
 /**
  * @file
- * Concurrency-readiness sharing annotations: the statically enforced
- * inventory of which simulator state is per-worker, shared-immutable,
- * lock-guarded, or commutatively merged at epoch barriers — the shard
- * boundary contract the intra-sim-parallelism refactor (ROADMAP) will
- * build on.
- *
- * Two annotation families share this header:
- *
- *  - Classification markers (SIM_PER_WORKER, SIM_SHARED_CONST,
- *    SIM_SHARED_SYNC, SIM_EPOCH_MERGED) expand to nothing on every
- *    compiler.  They are machine-readable documentation consumed by
- *    scripts/analyze_sharing.py, which hard-fails CI when a mutable
- *    member of a shard-boundary class lacks one and emits
- *    build/sharing_map.json (class -> member -> classification).
- *  - Capability annotations (SIM_CAPABILITY, SIM_GUARDED_BY,
- *    SIM_REQUIRES, SIM_ACQUIRE, ...) lower to Clang thread-safety
- *    attributes under Clang (-Wthread-safety, scripts/thread_safety.sh)
- *    and to nothing elsewhere, so GCC builds are byte-identical.
- *
- * Vocabulary (one marker per mutable member of a boundary class):
- *
- *   SIM_PER_WORKER      confined to a single owner at any instant —
- *                       thread-confined, or address/bank/channel-
- *                       sharded so exactly one worker touches it
- *                       between epoch barriers.
- *   SIM_SHARED_CONST    written only during construction/setup, then
- *                       read-only; safe to share without locks.
- *   SIM_SHARED_SYNC     internally synchronized primitive (atomic,
- *                       condition variable); safe by construction.
- *   SIM_GUARDED_BY(m)   mutable shared state; every access must hold
- *                       capability m (enforced by Clang).
- *   SIM_EPOCH_MERGED(op) per-worker replica merged at epoch barriers
- *                       with commutative op: sum, min, max, or
- *                       histogram_merge (the reduction discipline of
- *                       the commutative-updates paper, PAPERS.md).
+ * Clang thread-safety annotations for the state that is shared between
+ * threads today: ThreadPool's queue and ExperimentContext's solo-IPC
+ * cache.  Under Clang the macros lower to thread-safety attributes, so
+ * -Wthread-safety (scripts/thread_safety.sh) proves every
+ * SIM_GUARDED_BY member is touched only with its SimMutex held; under
+ * every other compiler they expand to nothing, so GCC builds are
+ * byte-identical.
  */
 
-#ifndef GARIBALDI_COMMON_SHARING_HH
-#define GARIBALDI_COMMON_SHARING_HH
+#ifndef GARIBALDI_COMMON_THREAD_SAFETY_HH
+#define GARIBALDI_COMMON_THREAD_SAFETY_HH
 
 #include <mutex>
 
@@ -48,12 +20,6 @@
 #else
 #define SIM_TSA_(x) // no-op outside Clang
 #endif
-
-// ---- classification markers (analyzer-only; always no-ops) -----------
-#define SIM_PER_WORKER
-#define SIM_SHARED_CONST
-#define SIM_SHARED_SYNC
-#define SIM_EPOCH_MERGED(op)
 
 // ---- Clang thread-safety capabilities --------------------------------
 #define SIM_CAPABILITY(x) SIM_TSA_(capability(x))
@@ -125,4 +91,4 @@ class SIM_SCOPED_CAPABILITY SimLock
 
 } // namespace garibaldi
 
-#endif // GARIBALDI_COMMON_SHARING_HH
+#endif // GARIBALDI_COMMON_THREAD_SAFETY_HH

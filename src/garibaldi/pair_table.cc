@@ -178,7 +178,7 @@ PairTable::onInstrMiss(Addr il_pa)
 }
 
 PairQueryResult
-PairTable::query(Addr il_pa, unsigned color) const
+PairTable::query(Addr il_pa, unsigned color)
 {
     const Entry &e = table[indexOf(il_pa)];
     ++nQueries;

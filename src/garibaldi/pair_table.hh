@@ -61,9 +61,9 @@ class PairTable
     /**
      * Query (Fig. 5(b)): read the aged miss cost without mutating the
      * entry (§5.2: the entry's color and cost are not updated by the
-     * query).
+     * query); only the query counter moves.
      */
-    PairQueryResult query(Addr il_pa, unsigned color) const;
+    PairQueryResult query(Addr il_pa, unsigned color);
 
     /**
      * Collect prefetch candidates for an instruction miss: the data
@@ -136,7 +136,7 @@ class PairTable
     std::uint64_t nAllocs = 0;
     std::uint64_t nCollisionsPreserved = 0;
     std::uint64_t nCollisionsReplaced = 0;
-    mutable std::uint64_t nQueries = 0;
+    std::uint64_t nQueries = 0;
     std::uint64_t nFieldRecords = 0;
     std::uint64_t nFieldBypasses = 0;
 };

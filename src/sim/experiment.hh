@@ -19,7 +19,7 @@
 #include <string>
 #include <vector>
 
-#include "common/sharing.hh"
+#include "common/thread_safety.hh"
 #include "sim/energy.hh"
 #include "sim/simulator.hh"
 #include "sim/system_config.hh"
@@ -71,9 +71,9 @@ class ExperimentContext
     std::uint64_t detailedInstructions() const { return detailed; }
 
   private:
-    SIM_SHARED_CONST SystemConfig base;
-    SIM_SHARED_CONST std::uint64_t warmup;
-    SIM_SHARED_CONST std::uint64_t detailed;
+    SystemConfig base;
+    std::uint64_t warmup;
+    std::uint64_t detailed;
     mutable SimMutex soloMutex;
     mutable std::map<std::string, double>
         soloCache SIM_GUARDED_BY(soloMutex);

@@ -15,7 +15,7 @@
  * discipline is enforced by the clang -Wthread-safety lane: the queue
  * state is SIM_GUARDED_BY(mtx), helpers that expect the lock say
  * SIM_REQUIRES(mtx), and every lock is a SimMutex/SimLock pair from
- * src/common/sharing.hh.
+ * src/common/thread_safety.hh.
  */
 
 #ifndef GARIBALDI_SWEEP_THREAD_POOL_HH
@@ -28,7 +28,7 @@
 #include <thread>
 #include <vector>
 
-#include "common/sharing.hh"
+#include "common/thread_safety.hh"
 
 namespace garibaldi
 {
@@ -79,15 +79,15 @@ class ThreadPool
         return queueHead == queue.size() && inFlight == 0;
     }
 
-    SIM_SHARED_CONST std::vector<std::thread> workers;
+    std::vector<std::thread> workers;
     // FIFO via head index
     std::vector<std::function<void()>> queue SIM_GUARDED_BY(mtx);
     std::size_t queueHead SIM_GUARDED_BY(mtx) = 0;
     std::size_t inFlight SIM_GUARDED_BY(mtx) = 0;
     bool stopping SIM_GUARDED_BY(mtx) = false;
     SimMutex mtx;
-    SIM_SHARED_SYNC std::condition_variable cvTask; //!< workers await tasks
-    SIM_SHARED_SYNC std::condition_variable cvIdle; //!< wait() awaits drain
+    std::condition_variable cvTask; //!< workers await tasks
+    std::condition_variable cvIdle; //!< wait() awaits drain
 };
 
 } // namespace garibaldi

@@ -417,5 +417,58 @@ TEST(Cli, DefaultsSurvive)
     EXPECT_EQ(p.getInt("n"), 5);
 }
 
+TEST(Cli, IntegersParseWholeStringInAnyBase)
+{
+    ArgParser p("test");
+    p.addInt("n", 5, "count");
+    p.addInt("d", 0, "delta");
+    const char *argv[] = {"prog", "--n=0x10", "--d", "-3"};
+    p.parse(4, argv);
+    EXPECT_EQ(p.getInt("n"), 16);
+    EXPECT_EQ(p.getInt("d"), -3); // signed options stay signed
+    EXPECT_EQ(p.getCount("n"), 16u);
+}
+
+TEST(CliDeathTest, RejectsNonIntegerValue)
+{
+    ArgParser p("test");
+    p.addInt("instr", 5, "count");
+    const char *argv[] = {"prog", "--instr", "abc"};
+    EXPECT_EXIT(p.parse(3, argv), testing::ExitedWithCode(1),
+                "error: --instr expects an integer, got 'abc'");
+}
+
+TEST(CliDeathTest, RejectsTrailingText)
+{
+    ArgParser p("test");
+    p.addInt("cores", 8, "count");
+    const char *argv[] = {"prog", "--cores=4x"};
+    EXPECT_EXIT(p.parse(2, argv), testing::ExitedWithCode(1),
+                "--cores expects an integer, got '4x'");
+}
+
+TEST(CliDeathTest, RejectsEmptyAndOutOfRangeValues)
+{
+    ArgParser p("test");
+    p.addInt("seed", 1, "seed");
+    const char *empty[] = {"prog", "--seed="};
+    EXPECT_EXIT(p.parse(2, empty), testing::ExitedWithCode(1),
+                "--seed expects an integer, got ''");
+    const char *huge[] = {"prog", "--seed", "99999999999999999999"};
+    EXPECT_EXIT(p.parse(3, huge), testing::ExitedWithCode(1),
+                "--seed expects an integer, got '99999999999999999999'");
+}
+
+TEST(CliDeathTest, CountRejectsNegative)
+{
+    ArgParser p("test");
+    p.addInt("warmup", 10, "count");
+    const char *argv[] = {"prog", "--warmup", "-5"};
+    p.parse(3, argv);
+    EXPECT_EQ(p.getInt("warmup"), -5);
+    EXPECT_EXIT(p.getCount("warmup"), testing::ExitedWithCode(1),
+                "--warmup must be >= 0 \\(got -5\\)");
+}
+
 } // namespace
 } // namespace garibaldi

@@ -4,10 +4,15 @@
 //  - entropy keywords inside comments and string literals
 //  - a justified allow() for a real finding
 //  - integral counters
+//  - const globals, a mutable lambda, and mutable members that are a
+//    SimMutex or SIM_GUARDED_BY one
 #include <cstdint>
+#include <map>
 #include <string>
 #include <unordered_map>
 #include <vector>
+
+#include "common/thread_safety.hh"
 
 // rand() and std::chrono::steady_clock in a comment are fine.
 static const char *kDoc =
@@ -35,3 +40,32 @@ justifiedSum(const double *xs, int n)
         byteCount += xs[i];
     return byteCount;
 }
+
+const std::uint64_t kSeedBase = 7; // immutable globals are fine
+constexpr std::uint64_t kStride = 3;
+
+std::uint64_t
+sumTwice(std::uint64_t x)
+{
+    auto add = [acc = kSeedBase](std::uint64_t v) mutable {
+        acc += v * kStride;
+        return acc;
+    };
+    add(x);
+    return add(x);
+}
+
+class GuardedMemo
+{
+  public:
+    std::uint64_t
+    get(std::uint64_t key) const
+    {
+        garibaldi::SimLock lk(mu);
+        return memo[key] += 1;
+    }
+
+  private:
+    mutable garibaldi::SimMutex mu;
+    mutable std::map<std::uint64_t, std::uint64_t> memo SIM_GUARDED_BY(mu);
+};

@@ -1,8 +1,8 @@
 #!/bin/sh
 # Self-test of scripts/lint_determinism.py against the fixture corpus:
-# every bad_<rule>*.cc must trip exactly its expected rule, clean.cc
-# must pass, and the lint over the real tree (src/ bench/ examples/)
-# must report zero findings.
+# every bad_* fixture must trip its expected rule, clean.cc must pass,
+# and the lint over the real tree (src/ bench/ examples/) must report
+# zero findings.
 #
 # Usage: run_fixtures.sh [python3-path]
 # Env:   REPO_ROOT (defaults to two levels above this script)
@@ -64,6 +64,9 @@ expect_finding bad_wall_clock.cc wall-clock
 expect_finding bad_pointer_ordering.cc pointer-ordering
 expect_finding bad_float_counter.cc float-counter
 expect_finding bad_static_mutable.cc static-mutable
+expect_finding bad_global.cc static-mutable
+expect_finding bad_class_static.hh static-mutable
+expect_finding bad_unguarded_mutable.hh mutable-unguarded
 expect_finding bad_bare_allow.cc unordered-iteration bad-allow
 
 expect_clean "clean.cc" "$HERE/clean.cc"
