@@ -72,25 +72,49 @@ esac
 # The diff uses a fixed --jobs 8 so the multi-threaded path is
 # exercised even on a 1-CPU host, where $(nproc) would compare the
 # serial path against itself.)
+#
+# jobs_identity OUT LABEL OBS ARGS...: run bank_sensitivity ARGS at
+# --jobs 1 and at --jobs 8 into $build/OUT_j1.txt and OUT_j8.txt and
+# fail, printing the diff, unless the two are byte-identical.  With a
+# non-empty OBS each run also writes --obs-dir $build/OBS_j1 (or _j8),
+# and the two artifact directories must match too.  Each run's wall
+# seconds land in jobs_secs[1] and jobs_secs[8].
+declare -a jobs_secs
+jobs_identity() {
+  local out="$1" label="$2" obs="$3" n start
+  shift 3
+  for n in 1 8; do
+    local obs_args=()
+    if [ -n "$obs" ]; then
+      rm -rf "$build/${obs}_j$n"
+      obs_args=(--obs-dir "$build/${obs}_j$n")
+    fi
+    start=$(date +%s.%N)
+    "$build/bank_sensitivity" "$@" --jobs "$n" "${obs_args[@]}" \
+        > "$build/${out}_j$n.txt"
+    jobs_secs[$n]=$(echo "$(date +%s.%N) $start" \
+                    | awk '{printf "%.3f", $1 - $2}')
+  done
+  if ! diff -q "$build/${out}_j1.txt" "$build/${out}_j8.txt" > /dev/null \
+     || { [ -n "$obs" ] \
+          && ! diff -rq "$build/${obs}_j1" "$build/${obs}_j8" > /dev/null; }; then
+    echo "FAIL: bank_sensitivity $label differs between --jobs 1 and --jobs 8"
+    diff "$build/${out}_j1.txt" "$build/${out}_j8.txt" | head -20
+    if [ -n "$obs" ]; then
+      diff -rq "$build/${obs}_j1" "$build/${obs}_j8" | head -10
+    fi
+    exit 1
+  fi
+  echo "bank_sensitivity $label: --jobs 1 vs --jobs 8 byte-identical"
+}
+
 echo "== sweep determinism (bank_sensitivity bytes, --jobs 1 vs 8) =="
-bank_args=(--warmup 10000 --instr 20000 --mixes 1)
-t1_start=$(date +%s.%N)
-"$build/bank_sensitivity" "${bank_args[@]}" --jobs 1 > "$build/bank_j1.txt"
-t1_end=$(date +%s.%N)
-tn_start=$(date +%s.%N)
-"$build/bank_sensitivity" "${bank_args[@]}" --jobs 8 > "$build/bank_j8.txt"
-tn_end=$(date +%s.%N)
-if ! diff -q "$build/bank_j1.txt" "$build/bank_j8.txt" > /dev/null; then
-  echo "FAIL: bank_sensitivity output differs between --jobs 1 and --jobs 8"
-  diff "$build/bank_j1.txt" "$build/bank_j8.txt" | head -20
-  exit 1
-fi
-echo "bank_sensitivity: --jobs 1 vs --jobs 8 byte-identical"
+jobs_identity bank "(plain)" "" --warmup 10000 --instr 20000 --mixes 1
 
 # Wall-clock speedup is only meaningful on multi-core hosts; the JSON
 # records host_cpus so 1-CPU results read as the no-op they are.
-t1=$(echo "$t1_end $t1_start" | awk '{printf "%.3f", $1 - $2}')
-tn=$(echo "$tn_end $tn_start" | awk '{printf "%.3f", $1 - $2}')
+t1=${jobs_secs[1]}
+tn=${jobs_secs[8]}
 speedup=$(echo "$t1 $tn" | awk '{printf "%.3f", $1 / $2}')
 cat > "$build/BENCH_sweep.json" <<EOF
 {
@@ -112,15 +136,8 @@ cat "$build/BENCH_sweep.json"
 echo "== bank contention (per-bank queuing model, --jobs 1 vs 8) =="
 # --svc/--ports passed explicitly so the artifact's config label stays
 # truthful even if the bench's defaults change.
-cont_args=(--warmup 10000 --instr 20000 --mixes 1 --contention --svc 4 --ports 1)
-"$build/bank_sensitivity" "${cont_args[@]}" --jobs 1 > "$build/bank_cont_j1.txt"
-"$build/bank_sensitivity" "${cont_args[@]}" --jobs 8 > "$build/bank_cont_j8.txt"
-if ! diff -q "$build/bank_cont_j1.txt" "$build/bank_cont_j8.txt" > /dev/null; then
-  echo "FAIL: bank_sensitivity --contention differs between --jobs 1 and 8"
-  diff "$build/bank_cont_j1.txt" "$build/bank_cont_j8.txt" | head -20
-  exit 1
-fi
-echo "bank_sensitivity --contention: --jobs 1 vs --jobs 8 byte-identical"
+jobs_identity bank_cont --contention "" --warmup 10000 --instr 20000 \
+    --mixes 1 --contention --svc 4 --ports 1
 
 # Table columns: cores banks shift geomean_metric vs_monolithic
 # avg_queue_delay; keep the cores=16 shift=0 curve.
@@ -145,16 +162,9 @@ cat "$build/BENCH_bank_contention.json"
 # DRAM queue delay falling as channels grow) is archived for trend
 # tracking alongside the weighted-speedup column.
 echo "== dram contention (channel sweep, --jobs 1 vs 8) =="
-dram_args=(--warmup 10000 --instr 20000 --mixes 1 --contention --svc 4
-           --ports 1 --dram-sweep --dram-ports 1 --dram-mshr)
-"$build/bank_sensitivity" "${dram_args[@]}" --jobs 1 > "$build/dram_cont_j1.txt"
-"$build/bank_sensitivity" "${dram_args[@]}" --jobs 8 > "$build/dram_cont_j8.txt"
-if ! diff -q "$build/dram_cont_j1.txt" "$build/dram_cont_j8.txt" > /dev/null; then
-  echo "FAIL: bank_sensitivity --dram-sweep differs between --jobs 1 and 8"
-  diff "$build/dram_cont_j1.txt" "$build/dram_cont_j8.txt" | head -20
-  exit 1
-fi
-echo "bank_sensitivity --dram-sweep: --jobs 1 vs --jobs 8 byte-identical"
+jobs_identity dram_cont --dram-sweep "" --warmup 10000 --instr 20000 \
+    --mixes 1 --contention --svc 4 --ports 1 --dram-sweep --dram-ports 1 \
+    --dram-mshr
 
 # Table columns: cores dramch geomean_metric vs_2ch
 # avg_dram_queue_delay; keep the cores=16 curve.
@@ -184,17 +194,9 @@ cat "$build/BENCH_dram_contention.json"
 # artifact's config label stays truthful even if the bench defaults
 # change.
 echo "== dram timing (row/turnaround/refresh model, --jobs 1 vs 8) =="
-timing_args=(--warmup 10000 --instr 20000 --mixes 1 --dram-timing
-             --row-bits 7 --turnaround 12 --refresh-interval 11700
-             --refresh-penalty 885)
-"$build/bank_sensitivity" "${timing_args[@]}" --jobs 1 > "$build/dram_timing_j1.txt"
-"$build/bank_sensitivity" "${timing_args[@]}" --jobs 8 > "$build/dram_timing_j8.txt"
-if ! diff -q "$build/dram_timing_j1.txt" "$build/dram_timing_j8.txt" > /dev/null; then
-  echo "FAIL: bank_sensitivity --dram-timing differs between --jobs 1 and 8"
-  diff "$build/dram_timing_j1.txt" "$build/dram_timing_j8.txt" | head -20
-  exit 1
-fi
-echo "bank_sensitivity --dram-timing: --jobs 1 vs --jobs 8 byte-identical"
+jobs_identity dram_timing --dram-timing "" --warmup 10000 --instr 20000 \
+    --mixes 1 --dram-timing --row-bits 7 --turnaround 12 \
+    --refresh-interval 11700 --refresh-penalty 885
 
 # Table columns: cores dramch geomean_metric row_hit_rate avg_read_lat
 # avg_hit_lat avg_miss_lat avg_conflict_lat; keep the cores=16 curve.
@@ -250,21 +252,8 @@ windows=$(wc -l < "$obs_dir/quickstart.telemetry.jsonl")
 echo "traced quickstart: $events trace events, $windows telemetry windows"
 
 echo "== obs: sweep artifacts byte-identical (--obs-dir, --jobs 1 vs 8) =="
-obs_sweep_args=(--warmup 10000 --instr 20000 --mixes 1
-                --trace-sample 16 --telemetry-window 50000)
-rm -rf "$build/obs_j1" "$build/obs_j8"
-"$build/bank_sensitivity" "${obs_sweep_args[@]}" --jobs 1 \
-    --obs-dir "$build/obs_j1" > "$build/obs_bank_j1.txt"
-"$build/bank_sensitivity" "${obs_sweep_args[@]}" --jobs 8 \
-    --obs-dir "$build/obs_j8" > "$build/obs_bank_j8.txt"
-if ! diff -q "$build/obs_bank_j1.txt" "$build/obs_bank_j8.txt" \
-      > /dev/null \
-   || ! diff -rq "$build/obs_j1" "$build/obs_j8" > /dev/null; then
-  echo "FAIL: traced sweep differs between --jobs 1 and --jobs 8"
-  diff "$build/obs_bank_j1.txt" "$build/obs_bank_j8.txt" | head -10
-  diff -rq "$build/obs_j1" "$build/obs_j8" | head -10
-  exit 1
-fi
+jobs_identity obs_bank "traced sweep (--obs-dir)" obs --warmup 10000 \
+    --instr 20000 --mixes 1 --trace-sample 16 --telemetry-window 50000
 n_artifacts=$(ls "$build/obs_j1" | wc -l)
 echo "traced sweep: stdout + $n_artifacts artifacts byte-identical across --jobs"
 

@@ -2,10 +2,12 @@
  * @file
  * Minimal JSON document model with a writer and a strict parser.
  *
- * Used by the sweep engine's ResultsTable (structured result emission
- * and round-trip tests) and by the CI scripts' BENCH_*.json artifacts.
- * Objects preserve insertion order so emitted documents are
- * deterministic and diffable across runs.
+ * Written by the sweep engine's ResultsTable and the telemetry writer
+ * (src/obs/telemetry.cc); the parser lets the tests validate trace and
+ * telemetry output.  (scripts/ci.sh writes its BENCH_*.json artifacts
+ * with shell heredocs, not through this model.)  Objects preserve
+ * insertion order so emitted documents are deterministic and diffable
+ * across runs.
  */
 
 #ifndef GARIBALDI_COMMON_JSON_HH

@@ -16,13 +16,12 @@ PageTable::PageTable(CoreId core, std::uint64_t scatter_key)
 Addr
 PageTable::frameOf(Addr vpn)
 {
-    auto it = vpnToPpn.find(vpn);
-    if (it != vpnToPpn.end())
-        return it->second;
+    if (const Addr *ppn = vpnToPpn.find(vpn))
+        return *ppn;
     if (nextIndex >= kZoneFrames)
         fatal("core physical zone exhausted (", nextIndex, " pages)");
     Addr ppn = zoneBase + feistelPermute(nextIndex++, kZoneFrames, key);
-    vpnToPpn.emplace(vpn, ppn);
+    vpnToPpn.ref(vpn) = ppn;
     return ppn;
 }
 

@@ -270,13 +270,15 @@ Cache::access(const MemAccess &acc)
     // Fig. 3(d) I-oracle: instructions always hit after first access and
     // occupy no capacity.
     if (params.instrOracle && acc.isInstr) {
-        if (!oracleSeen.insert(tag)) {
+        std::uint8_t &seen = oracleSeen.ref(tag);
+        if (seen) {
             if (!acc.isPrefetch) {
                 ++stat.hits;
                 ++stat.instrHits;
             }
             return true;
         }
+        seen = 1;
         if (!acc.isPrefetch) {
             ++stat.misses;
             ++stat.instrMisses;

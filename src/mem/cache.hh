@@ -289,7 +289,8 @@ class Cache
     Cycle qbsCycles = 0;
     Tick useTick = 0;
     PendingTable pending;
-    FlatLineSet oracleSeen;
+    /** Fig. 3(d) I-oracle memory: non-zero once a line was fetched. */
+    FlatLineMap<std::uint8_t> oracleSeen{1024};
     /** Per-slot busy-until cycles; sized at construction (empty when
      *  the contention model is off) so the demand path never allocates. */
     std::vector<Cycle> tagBusyUntil;

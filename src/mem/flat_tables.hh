@@ -2,23 +2,25 @@
  * @file
  * Allocation-free open-addressed tables for the access pipeline's hot
  * path, replacing the std::unordered_map/set structures that dominated
- * lookup cost:
+ * lookup cost.
  *
- *  - PendingTable:        line → fill-ready cycle (the MSHR book),
- *  - FlatLineSet:         set of line numbers (the I-oracle's memory),
+ * FlatLineMap is the one table: linear probing over power-of-two SoA
+ * arrays keyed by line number, with sentinel empty/tombstone keys and
+ * mix64 hashing.  Line numbers are physical addresses shifted right by
+ * kLineShift (page numbers are shifted further), so keys are < 2^58
+ * and the two all-ones sentinels can never collide with a real key.
+ * The other per-line books are short uses of it:
+ *
+ *  - PendingTable:         line → fill-ready cycle (the MSHR book),
  *  - DecayingCounterTable: bounded line → saturating counter map with
  *                          periodic decay (instruction criticality).
- *
- * All three use linear probing over power-of-two arrays keyed by line
- * number.  Line numbers are physical addresses shifted right by
- * kLineShift, so they are < 2^58 and the two all-ones sentinels can
- * never collide with a real key.
  */
 
 #ifndef GARIBALDI_MEM_FLAT_TABLES_HH
 #define GARIBALDI_MEM_FLAT_TABLES_HH
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "common/intmath.hh"
@@ -30,9 +32,7 @@ namespace garibaldi
 namespace flat
 {
 
-constexpr Addr kEmptyKey = ~Addr{0};
-constexpr Addr kTombKey = ~Addr{0} - 1;
-
+/** Slots of a table sized for @p expected entries (pow2, ≥ 2×). */
 inline std::size_t
 tableCapacity(std::size_t expected)
 {
@@ -45,271 +45,34 @@ tableCapacity(std::size_t expected)
 } // namespace flat
 
 /**
- * Open-addressed line → ready-cycle map modeling in-flight fills.
- *
- * Matches the lazy-expiry semantics of the map it replaces (entries are
- * only observed-and-erased by lookups), and is kept small by its owner:
- * the simulator retires completed fills at a global simulated-time
- * floor (Cache::retireFills), and mshrsFull() prunes at the caller's
- * clock, so a book holds little more than the fills still in flight and
- * pruneExpired() is a plain sweep of the table.
- *
- * Callers that never set a floor (unit tests, hierarchy-only benches)
- * stay bounded on long runs too: when the table would grow, entries
- * whose ready time lies more than kExpirySlack cycles behind the latest
- * scheduled fill are swept first.  The simulator bounds cross-core
- * clock skew to a few thousand cycles, so no core can still observe
- * such an entry as in flight and the sweep is behavior-neutral.
- */
-class PendingTable
-{
-  public:
-    explicit PendingTable(std::size_t expected)
-        : keys(flat::tableCapacity(expected), flat::kEmptyKey),
-          ready(flat::tableCapacity(expected), 0),
-          baseCap(keys.size())
-    {
-    }
-
-    /** Record (or refresh) an in-flight fill of @p key. */
-    void
-    set(Addr key, Cycle ready_at)
-    {
-        if (ready_at > watermark)
-            watermark = ready_at;
-        if ((filled + tombs + 1) * 4 >= keys.size() * 3)
-            compact();
-        std::size_t mask = keys.size() - 1;
-        std::size_t i = static_cast<std::size_t>(mix64(key)) & mask;
-        std::size_t first_tomb = keys.size();
-        while (true) {
-            if (keys[i] == key) {
-                ready[i] = ready_at;
-                return;
-            }
-            if (keys[i] == flat::kEmptyKey) {
-                if (first_tomb != keys.size()) {
-                    i = first_tomb;
-                    --tombs;
-                }
-                keys[i] = key;
-                ready[i] = ready_at;
-                ++filled;
-                return;
-            }
-            if (keys[i] == flat::kTombKey && first_tomb == keys.size())
-                first_tomb = i;
-            i = (i + 1) & mask;
-        }
-    }
-
-    /** Ready cycle of @p key, or 0 when no fill is in flight. */
-    Cycle
-    get(Addr key) const
-    {
-        if (filled == 0)
-            return 0;
-        std::size_t mask = keys.size() - 1;
-        std::size_t i = static_cast<std::size_t>(mix64(key)) & mask;
-        while (keys[i] != flat::kEmptyKey) {
-            if (keys[i] == key)
-                return ready[i];
-            i = (i + 1) & mask;
-        }
-        return 0;
-    }
-
-    /** Drop @p key if present. */
-    void
-    erase(Addr key)
-    {
-        std::size_t mask = keys.size() - 1;
-        std::size_t i = static_cast<std::size_t>(mix64(key)) & mask;
-        while (keys[i] != flat::kEmptyKey) {
-            if (keys[i] == key) {
-                keys[i] = flat::kTombKey;
-                --filled;
-                ++tombs;
-                return;
-            }
-            i = (i + 1) & mask;
-        }
-    }
-
-    /** Drop every entry whose ready time has passed @p now. */
-    void
-    pruneExpired(Cycle now)
-    {
-        if (filled == 0)
-            return;
-        // Branch-free: whether a slot expires is unpredictable.
-        std::size_t dropped = 0;
-        for (std::size_t i = 0; i < keys.size(); ++i) {
-            bool expired = keys[i] < flat::kTombKey && ready[i] <= now;
-            keys[i] = expired ? flat::kTombKey : keys[i];
-            dropped += expired;
-        }
-        filled -= dropped;
-        tombs += dropped;
-        // A sweep that leaves mostly tombstones rebuilds the table at
-        // a size that fits the survivors, so the next sweep is short.
-        if (tombs * 2 >= keys.size())
-            compact();
-    }
-
-    std::size_t size() const { return filled; }
-
-  private:
-    /**
-     * Expired-entry slack before compact() may drop an entry.
-     * Dropping is invisible only while no later query's clock can
-     * precede the dropped entry's ready time: a query can trail the
-     * watermark (the newest booked completion) by a full fill latency
-     * plus cross-core skew, and under saturated-contention sweeps that
-     * tail reaches tens of thousands of cycles — a 64k horizon was
-     * observed to flip pendingReady() answers on the 16-core banked
-     * contention mix.  256k cycles is far beyond any latency the
-     * timing model can produce.  (Routine cleanup is pruneExpired(),
-     * which is exact; this slack only gates the compaction fallback.)
-     */
-    static constexpr Cycle kExpirySlack = Cycle{1} << 18;
-
-    void
-    compact()
-    {
-        // First try reclaiming long-expired entries in place; grow only
-        // when the table is genuinely full of live fills.
-        std::size_t live = 0;
-        Cycle horizon =
-            watermark > kExpirySlack ? watermark - kExpirySlack : 0;
-        for (std::size_t i = 0; i < keys.size(); ++i)
-            if (keys[i] < flat::kTombKey && ready[i] > horizon)
-                ++live;
-        std::size_t cap = keys.size();
-        if ((live + 1) * 4 >= cap * 3)
-            cap <<= 1;
-        else
-            while (cap > baseCap && (live + 1) * 8 <= cap)
-                cap >>= 1;
-
-        std::vector<Addr> old_keys(cap, flat::kEmptyKey);
-        std::vector<Cycle> old_ready(cap, 0);
-        old_keys.swap(keys);
-        old_ready.swap(ready);
-        filled = 0;
-        tombs = 0;
-        std::size_t mask = keys.size() - 1;
-        for (std::size_t i = 0; i < old_keys.size(); ++i) {
-            if (old_keys[i] >= flat::kTombKey || old_ready[i] <= horizon)
-                continue;
-            std::size_t j =
-                static_cast<std::size_t>(mix64(old_keys[i])) & mask;
-            while (keys[j] != flat::kEmptyKey)
-                j = (j + 1) & mask;
-            keys[j] = old_keys[i];
-            ready[j] = old_ready[i];
-            ++filled;
-        }
-    }
-
-    std::vector<Addr> keys;
-    std::vector<Cycle> ready;
-    std::size_t baseCap;      //!< construction capacity (shrink floor)
-    std::size_t filled = 0;
-    std::size_t tombs = 0;
-    Cycle watermark = 0;
-};
-
-/** Open-addressed insert-only set of line numbers. */
-class FlatLineSet
-{
-  public:
-    explicit FlatLineSet(std::size_t expected = 1024)
-        : keys(flat::tableCapacity(expected), flat::kEmptyKey)
-    {
-    }
-
-    bool
-    contains(Addr key) const
-    {
-        std::size_t mask = keys.size() - 1;
-        std::size_t i = static_cast<std::size_t>(mix64(key)) & mask;
-        while (keys[i] != flat::kEmptyKey) {
-            if (keys[i] == key)
-                return true;
-            i = (i + 1) & mask;
-        }
-        return false;
-    }
-
-    /** @return true when @p key was newly inserted. */
-    bool
-    insert(Addr key)
-    {
-        if ((filled + 1) * 4 >= keys.size() * 3)
-            grow();
-        std::size_t mask = keys.size() - 1;
-        std::size_t i = static_cast<std::size_t>(mix64(key)) & mask;
-        while (keys[i] != flat::kEmptyKey) {
-            if (keys[i] == key)
-                return false;
-            i = (i + 1) & mask;
-        }
-        keys[i] = key;
-        ++filled;
-        return true;
-    }
-
-    std::size_t size() const { return filled; }
-
-  private:
-    void
-    grow()
-    {
-        std::vector<Addr> old(keys.size() * 2, flat::kEmptyKey);
-        old.swap(keys);
-        std::size_t mask = keys.size() - 1;
-        for (Addr k : old) {
-            if (k == flat::kEmptyKey)
-                continue;
-            std::size_t i = static_cast<std::size_t>(mix64(k)) & mask;
-            while (keys[i] != flat::kEmptyKey)
-                i = (i + 1) & mask;
-            keys[i] = k;
-        }
-    }
-
-    std::vector<Addr> keys;
-    std::size_t filled = 0;
-};
-
-/**
- * Open-addressed line → value map with erase support (directory
- * entries and similar per-line bookkeeping off std::unordered_map).
+ * Open-addressed line → value map.  Keys and values live in separate
+ * arrays, allocated on the first insert at the construction capacity.
+ * An insert that would take occupancy (live + tombstones) to 3/4 first
+ * rebuilds the table, doubling it when the live entries alone reach
+ * that load; it shrinks only in compact().
  */
 template <typename V>
 class FlatLineMap
 {
   public:
     explicit FlatLineMap(std::size_t expected = 256)
-        : keys(flat::tableCapacity(expected), flat::kEmptyKey),
-          values(flat::tableCapacity(expected))
+        : baseCap(flat::tableCapacity(expected))
     {
     }
 
-    /** Value of @p key, inserting a default-constructed one if absent. */
+    /** Value of @p key, inserting a value-initialized one if absent. */
     V &
     ref(Addr key)
     {
-        if ((filled + tombs + 1) * 4 >= keys.size() * 3)
-            rehash();
+        if (atLoadLimit())
+            rehash(grownCapacity());
         std::size_t mask = keys.size() - 1;
         std::size_t i = static_cast<std::size_t>(mix64(key)) & mask;
         std::size_t first_tomb = keys.size();
         while (true) {
             if (keys[i] == key)
                 return values[i];
-            if (keys[i] == flat::kEmptyKey) {
+            if (keys[i] == kEmptyKey) {
                 if (first_tomb != keys.size()) {
                     i = first_tomb;
                     --tombs;
@@ -319,7 +82,7 @@ class FlatLineMap
                 ++filled;
                 return values[i];
             }
-            if (keys[i] == flat::kTombKey && first_tomb == keys.size())
+            if (keys[i] == kTombKey && first_tomb == keys.size())
                 first_tomb = i;
             i = (i + 1) & mask;
         }
@@ -332,7 +95,7 @@ class FlatLineMap
             return nullptr;
         std::size_t mask = keys.size() - 1;
         std::size_t i = static_cast<std::size_t>(mix64(key)) & mask;
-        while (keys[i] != flat::kEmptyKey) {
+        while (keys[i] != kEmptyKey) {
             if (keys[i] == key)
                 return &values[i];
             i = (i + 1) & mask;
@@ -346,24 +109,66 @@ class FlatLineMap
         return const_cast<FlatLineMap *>(this)->find(key);
     }
 
+    /** Drop @p key if present. */
     void
     erase(Addr key)
     {
-        std::size_t mask = keys.size() - 1;
-        std::size_t i = static_cast<std::size_t>(mix64(key)) & mask;
-        while (keys[i] != flat::kEmptyKey) {
-            if (keys[i] == key) {
-                keys[i] = flat::kTombKey;
-                values[i] = V{};
-                --filled;
-                ++tombs;
-                return;
-            }
-            i = (i + 1) & mask;
+        if (V *v = find(key)) {
+            keys[static_cast<std::size_t>(v - values.data())] = kTombKey;
+            --filled;
+            ++tombs;
         }
     }
 
+    /**
+     * Drop every entry for which @p pred(key, value) holds.  @p pred
+     * sees only live entries and may change the value in place;
+     * survivors keep the change.  A sweep that leaves at least half the
+     * slots tombstones ends in compact().
+     * @return true when the sweep ended in compact().
+     */
+    template <typename Pred>
+    bool
+    eraseIf(Pred &&pred)
+    {
+        if (keys.empty())
+            return false;
+        std::size_t dropped = 0;
+        for (std::size_t i = 0; i < keys.size(); ++i) {
+            bool dead = keys[i] < kTombKey && pred(keys[i], values[i]);
+            keys[i] = dead ? kTombKey : keys[i];
+            dropped += dead;
+        }
+        filled -= dropped;
+        tombs += dropped;
+        if (tombs * 2 < keys.size())
+            return false;
+        compact();
+        return true;
+    }
+
+    /** Rebuild without tombstones at the smallest capacity that fits
+     *  the live entries, but never below the construction capacity. */
+    void
+    compact()
+    {
+        std::size_t cap = keys.size();
+        while (cap > baseCap && (filled + 1) * 8 <= cap)
+            cap >>= 1;
+        rehash(cap);
+    }
+
+    /** True when the next ref() rebuilds the table before probing. */
+    bool
+    atLoadLimit() const
+    {
+        return (filled + tombs + 1) * 4 >= keys.size() * 3;
+    }
+
     std::size_t size() const { return filled; }
+
+    /** Slots allocated: 0 until the first insert. */
+    std::size_t capacity() const { return keys.size(); }
 
     /** Visit every live (key, value) pair; iteration order is the slot
      *  order, which callers must not depend on. */
@@ -372,30 +177,42 @@ class FlatLineMap
     forEach(Fn &&fn) const
     {
         for (std::size_t i = 0; i < keys.size(); ++i)
-            if (keys[i] < flat::kTombKey)
+            if (keys[i] < kTombKey)
                 fn(keys[i], values[i]);
     }
 
   private:
-    void
-    rehash()
+    static constexpr Addr kEmptyKey = ~Addr{0};
+    static constexpr Addr kTombKey = ~Addr{0} - 1;
+
+    /** Capacity for ref()'s rebuild: the first allocation, a doubling
+     *  when the live entries alone are at the load limit, or the same
+     *  size to clear tombstones. */
+    std::size_t
+    grownCapacity() const
     {
+        if (keys.empty())
+            return baseCap;
         std::size_t cap = keys.size();
-        if ((filled + 1) * 4 >= cap * 3)
-            cap <<= 1;
-        std::vector<Addr> old_keys(cap, flat::kEmptyKey);
+        return (filled + 1) * 4 >= cap * 3 ? cap * 2 : cap;
+    }
+
+    void
+    rehash(std::size_t cap)
+    {
+        std::vector<Addr> old_keys(cap, kEmptyKey);
         std::vector<V> old_values(cap);
         old_keys.swap(keys);
         old_values.swap(values);
         filled = 0;
         tombs = 0;
-        std::size_t mask = keys.size() - 1;
+        std::size_t mask = cap - 1;
         for (std::size_t i = 0; i < old_keys.size(); ++i) {
-            if (old_keys[i] >= flat::kTombKey)
+            if (old_keys[i] >= kTombKey)
                 continue;
             std::size_t j =
                 static_cast<std::size_t>(mix64(old_keys[i])) & mask;
-            while (keys[j] != flat::kEmptyKey)
+            while (keys[j] != kEmptyKey)
                 j = (j + 1) & mask;
             keys[j] = old_keys[i];
             values[j] = old_values[i];
@@ -405,8 +222,100 @@ class FlatLineMap
 
     std::vector<Addr> keys;
     std::vector<V> values;
+    std::size_t baseCap; //!< first allocation and compact()'s floor
     std::size_t filled = 0;
     std::size_t tombs = 0;
+};
+
+/**
+ * Line → ready-cycle map modeling in-flight fills.
+ *
+ * Matches the lazy-expiry semantics of the map it replaces (entries are
+ * only observed-and-erased by lookups), and is kept small by its owner:
+ * the simulator retires completed fills at a global simulated-time
+ * floor (Cache::retireFills), and mshrsFull() prunes at the caller's
+ * clock, so a book holds little more than the fills still in flight and
+ * pruneExpired() is a plain sweep of the table.
+ *
+ * Callers that never set a floor (unit tests, hierarchy-only benches)
+ * stay bounded on long runs too: every rebuild of the table drops the
+ * entries whose ready time lies more than kExpirySlack cycles behind
+ * the latest scheduled fill.  An insert that would rebuild sweeps them
+ * first, and a pruning sweep that ends in a rebuild drops them too.
+ */
+class PendingTable
+{
+  public:
+    explicit PendingTable(std::size_t expected) : book(expected) {}
+
+    /** Record (or refresh) an in-flight fill of @p key. */
+    void
+    set(Addr key, Cycle ready_at)
+    {
+        if (ready_at > watermark)
+            watermark = ready_at;
+        if (book.atLoadLimit()) {
+            // Reclaim long-expired entries first; the table grows only
+            // when it is genuinely full of live fills.
+            Cycle h = horizon();
+            book.eraseIf([h](Addr, Cycle r) { return r <= h; });
+        }
+        book.ref(key) = ready_at;
+    }
+
+    /** Ready cycle of @p key, or 0 when no fill is in flight. */
+    Cycle
+    get(Addr key) const
+    {
+        const Cycle *ready = book.find(key);
+        return ready ? *ready : 0;
+    }
+
+    /** Drop @p key if present. */
+    void erase(Addr key) { book.erase(key); }
+
+    /** Drop every entry whose ready time has passed @p now. */
+    void
+    pruneExpired(Cycle now)
+    {
+        if (book.size() == 0 ||
+            !book.eraseIf([now](Addr, Cycle r) { return r <= now; }))
+            return;
+        // The sweep rebuilt the table.  A rebuild drops the long-expired
+        // entries too, as in set(), so drop them and rebuild again.
+        Cycle h = horizon();
+        if (h > now) {
+            book.eraseIf([h](Addr, Cycle r) { return r <= h; });
+            book.compact();
+        }
+    }
+
+    std::size_t size() const { return book.size(); }
+
+  private:
+    /**
+     * Expired-entry slack before set() may drop an entry.  Dropping is
+     * invisible only while no later query's clock can precede the
+     * dropped entry's ready time: a query can trail the watermark (the
+     * newest booked completion) by a full fill latency plus cross-core
+     * skew, and under saturated-contention sweeps that tail reaches
+     * tens of thousands of cycles — a 64k horizon was observed to flip
+     * pendingReady() answers on the 16-core banked contention mix.
+     * 256k cycles is far beyond any latency the timing model can
+     * produce.  (Routine cleanup is pruneExpired()'s sweep, which is
+     * exact; this slack only gates what a table rebuild drops.)
+     */
+    static constexpr Cycle kExpirySlack = Cycle{1} << 18;
+
+    /** Ready times at or before this are long expired. */
+    Cycle
+    horizon() const
+    {
+        return watermark > kExpirySlack ? watermark - kExpirySlack : 0;
+    }
+
+    FlatLineMap<Cycle> book;
+    Cycle watermark = 0;
 };
 
 /**
@@ -419,8 +328,7 @@ class DecayingCounterTable
 {
   public:
     explicit DecayingCounterTable(std::size_t entries)
-        : keys(flat::tableCapacity(entries), flat::kEmptyKey),
-          counts(flat::tableCapacity(entries), 0)
+        : counts(entries), limit(flat::tableCapacity(entries) * 3 / 4)
     {
     }
 
@@ -428,68 +336,37 @@ class DecayingCounterTable
     std::uint8_t
     increment(Addr key)
     {
-        std::size_t mask = keys.size() - 1;
-        std::size_t i = static_cast<std::size_t>(mix64(key)) & mask;
-        while (keys[i] != flat::kEmptyKey) {
-            if (keys[i] == key) {
-                if (counts[i] < 255)
-                    ++counts[i];
-                return counts[i];
-            }
-            i = (i + 1) & mask;
-        }
-        if ((filled + 1) * 4 >= keys.size() * 3) {
-            decay();
-            // Re-probe: decay moved survivors around.
-            i = static_cast<std::size_t>(mix64(key)) & mask;
-            while (keys[i] != flat::kEmptyKey) {
-                if (keys[i] == key) {
-                    if (counts[i] < 255)
-                        ++counts[i];
-                    return counts[i];
-                }
-                i = (i + 1) & mask;
-            }
-            if ((filled + 1) * 4 >= keys.size() * 3)
+        if (std::uint8_t *c = counts.find(key))
+            return bump(*c);
+        if (counts.size() + 1 >= limit) {
+            counts.eraseIf([](Addr, std::uint8_t &c) {
+                c >>= 1;
+                return c == 0;
+            });
+            if (std::uint8_t *c = counts.find(key))
+                return bump(*c);
+            if (counts.size() + 1 >= limit)
                 return 1; // still saturated: observe without tracking
         }
-        keys[i] = key;
-        counts[i] = 1;
-        ++filled;
+        counts.ref(key) = 1;
         return 1;
     }
 
-    std::size_t size() const { return filled; }
+    std::size_t size() const { return counts.size(); }
 
   private:
-    void
-    decay()
+    static std::uint8_t
+    bump(std::uint8_t &c)
     {
-        std::vector<Addr> old_keys(keys.size(), flat::kEmptyKey);
-        std::vector<std::uint8_t> old_counts(keys.size(), 0);
-        old_keys.swap(keys);
-        old_counts.swap(counts);
-        filled = 0;
-        std::size_t mask = keys.size() - 1;
-        for (std::size_t i = 0; i < old_keys.size(); ++i) {
-            if (old_keys[i] == flat::kEmptyKey)
-                continue;
-            std::uint8_t halved = old_counts[i] >> 1;
-            if (halved == 0)
-                continue;
-            std::size_t j =
-                static_cast<std::size_t>(mix64(old_keys[i])) & mask;
-            while (keys[j] != flat::kEmptyKey)
-                j = (j + 1) & mask;
-            keys[j] = old_keys[i];
-            counts[j] = halved;
-            ++filled;
-        }
+        if (c < 255)
+            ++c;
+        return c;
     }
 
-    std::vector<Addr> keys;
-    std::vector<std::uint8_t> counts;
-    std::size_t filled = 0;
+    /** Stays at its construction capacity: inserts stop short of the
+     *  load that would double it, and decay never shrinks below it. */
+    FlatLineMap<std::uint8_t> counts;
+    std::size_t limit; //!< occupancy that triggers a decay
 };
 
 } // namespace garibaldi

@@ -21,8 +21,8 @@ MockingjayPolicy::MockingjayPolicy(std::uint32_t num_sets,
           1, historyLen / static_cast<std::uint32_t>(maxEtr))),
       rdp(kRdpSize, kUnknownRd),
       samples(num_sets >= (1u << params.sampleShift)
-                  ? num_sets >> params.sampleShift : 1),
-      sampleCap(flat::tableCapacity(historyLen + 1)),
+                  ? num_sets >> params.sampleShift : 1,
+              SampledSet{FlatLineMap<Sample>(historyLen + 1)}),
       lines(std::size_t{num_sets} * assoc_),
       agingCount(num_sets, 0)
 {
@@ -90,95 +90,35 @@ MockingjayPolicy::onAccess(std::uint32_t set, const MemAccess &acc, bool)
         return;
 
     SampledSet &ss = samples[set >> sampleShift];
-    if (ss.keys.empty()) {
-        // First touch of this sampled set: allocate its table.
-        ss.keys.assign(sampleCap, flat::kEmptyKey);
-        ss.pcSigs.assign(sampleCap, 0);
-        ss.stamps.assign(sampleCap, 0);
-    }
     ++ss.tick;
     Addr key = lineNumber(acc.lineAddr());
-    std::size_t mask = sampleCap - 1;
-    std::size_t i = static_cast<std::size_t>(mix64(key)) & mask;
-    std::size_t slot = sampleCap;     // match, if any
-    std::size_t free_slot = sampleCap; // insertion point otherwise
-    while (true) {
-        if (ss.keys[i] == key) {
-            slot = i;
-            break;
-        }
-        if (ss.keys[i] == flat::kEmptyKey) {
-            if (free_slot == sampleCap)
-                free_slot = i;
-            break;
-        }
-        if (ss.keys[i] == flat::kTombKey && free_slot == sampleCap)
-            free_slot = i;
-        i = (i + 1) & mask;
-    }
-
-    if (slot != sampleCap) {
-        std::uint64_t dist = ss.tick - ss.stamps[slot];
-        train(ss.pcSigs[slot],
-              static_cast<std::uint32_t>(std::min<std::uint64_t>(
-                  dist, 2 * historyLen)));
-        ss.pcSigs[slot] = static_cast<std::uint32_t>(pcIndex(acc.pc));
-        ss.stamps[slot] = ss.tick;
+    Sample fresh;
+    fresh.stamp = ss.tick;
+    fresh.pcSig = pcIndex(acc.pc);
+    if (Sample *s = ss.lines.find(key)) {
+        std::uint64_t dist = ss.tick - s->stamp;
+        train(s->pcSig, static_cast<std::uint32_t>(
+                            std::min<std::uint64_t>(dist, 2 * historyLen)));
+        *s = fresh;
         return;
     }
 
-    if (ss.keys[free_slot] == flat::kTombKey)
-        --ss.tombs;
-    ss.keys[free_slot] = key;
-    ss.pcSigs[free_slot] = static_cast<std::uint32_t>(pcIndex(acc.pc));
-    ss.stamps[free_slot] = ss.tick;
-    ++ss.filled;
-    if (ss.filled > historyLen) {
+    ss.lines.ref(key) = fresh;
+    if (ss.lines.size() > historyLen) {
         // Evict the stalest sample; it left the window unreused, so
         // its PC is trained toward scan-like (far) behavior.  The
         // newest stamp belongs to the entry just written, so the
-        // minimum is always an older one (stamps are unique per set).
-        std::size_t oldest = sampleCap;
-        std::uint64_t oldest_stamp = ~std::uint64_t{0};
-        for (std::size_t s = 0; s < sampleCap; ++s) {
-            if (ss.keys[s] < flat::kTombKey &&
-                ss.stamps[s] < oldest_stamp) {
-                oldest_stamp = ss.stamps[s];
-                oldest = s;
+        // minimum is always an older one.
+        Addr oldest = 0;
+        Sample stalest = fresh;
+        ss.lines.forEach([&](Addr k, const Sample &s) {
+            if (s.stamp < stalest.stamp) {
+                oldest = k;
+                stalest = s;
             }
-        }
-        train(ss.pcSigs[oldest], 2 * historyLen);
-        ss.keys[oldest] = flat::kTombKey;
-        --ss.filled;
-        ++ss.tombs;
-    }
-    if ((ss.filled + ss.tombs + 1) * 4 >= sampleCap * 3)
-        rehashSample(ss);
-}
-
-void
-MockingjayPolicy::rehashSample(SampledSet &ss) const
-{
-    std::vector<Addr> old_keys(sampleCap, flat::kEmptyKey);
-    std::vector<std::uint32_t> old_sigs(sampleCap, 0);
-    std::vector<std::uint64_t> old_stamps(sampleCap, 0);
-    old_keys.swap(ss.keys);
-    old_sigs.swap(ss.pcSigs);
-    old_stamps.swap(ss.stamps);
-    ss.filled = 0;
-    ss.tombs = 0;
-    std::size_t mask = sampleCap - 1;
-    for (std::size_t s = 0; s < sampleCap; ++s) {
-        if (old_keys[s] >= flat::kTombKey)
-            continue;
-        std::size_t j =
-            static_cast<std::size_t>(mix64(old_keys[s])) & mask;
-        while (ss.keys[j] != flat::kEmptyKey)
-            j = (j + 1) & mask;
-        ss.keys[j] = old_keys[s];
-        ss.pcSigs[j] = old_sigs[s];
-        ss.stamps[j] = old_stamps[s];
-        ++ss.filled;
+        });
+        train(stalest.pcSig, 2 * historyLen);
+        ss.lines.erase(oldest);
     }
 }
 

@@ -52,28 +52,28 @@ class MockingjayPolicy final : public ReplacementPolicy
     bool isSampled(std::uint32_t set) const;
     void train(std::size_t sig, std::uint32_t observed);
 
+    /** One sampled-cache entry: the PC signature of the line's last
+     *  access and the set-local tick it happened at.  Packed into one
+     *  word (a tick reaches 2^50 only after 2^50 accesses to a set). */
+    struct Sample
+    {
+        std::uint64_t stamp : 50;
+        std::uint64_t pcSig : kRdpBits;
+    };
+    static_assert(kRdpBits <= 14, "PC signature must fit Sample::pcSig");
+
     /**
-     * Sampled cache of one sampled set: an open-addressed SoA table
-     * (line number → last PC signature + timestamp) with the
-     * flat_tables sentinel/tombstone scheme.  Capacity is fixed at
-     * construction — occupancy is bounded by historyLen + 1 — and
-     * arrays are allocated on the set's first access.  Replaces the
-     * per-set unordered_map: identical find/insert/stalest-evict
-     * semantics (timestamps are unique within a set, so the stalest
-     * entry is order-independent), no node allocation.
+     * Sampled cache of one sampled set (line number → Sample), sized
+     * for historyLen + 1 lines and allocated on the set's first access.
+     * Occupancy is bounded by historyLen: an insert past it evicts the
+     * stalest entry (stamps are unique within a set, so that entry is
+     * independent of the table's slot order).
      */
     struct SampledSet
     {
-        std::vector<Addr> keys;
-        std::vector<std::uint32_t> pcSigs;
-        std::vector<std::uint64_t> stamps;
-        std::uint32_t filled = 0;
-        std::uint32_t tombs = 0;
+        FlatLineMap<Sample> lines;
         std::uint64_t tick = 0;
     };
-
-    /** Drop @p ss's tombstones by re-inserting the live entries. */
-    void rehashSample(SampledSet &ss) const;
 
     struct LineState
     {
@@ -104,7 +104,6 @@ class MockingjayPolicy final : public ReplacementPolicy
     std::vector<std::uint16_t> rdp;
     /** Indexed by set >> sampleShift (only sampled sets are stored). */
     std::vector<SampledSet> samples;
-    std::size_t sampleCap; //!< per-sampled-set table capacity (pow2)
     std::vector<LineState> lines;
     std::vector<std::uint32_t> agingCount; //!< per-set access counter
     Tick promoteTick = 0;

@@ -169,29 +169,44 @@ TEST(ResultsTable, SelectorLookup)
     EXPECT_EQ(t.select({{"policy", "drrip"}}).size(), 0u);
 }
 
-TEST(ResultsTable, CsvRoundTrip)
+TEST(ResultsTable, EmitsExactCsvAndJson)
 {
-    ResultsTable t = sampleTable();
-    ResultsTable back = ResultsTable::fromCsv(t.toCsv());
-    EXPECT_EQ(back, t);
-    EXPECT_EQ(back.toCsv(), t.toCsv());
-}
-
-TEST(ResultsTable, CsvRoundTripWithNumericCoordLabels)
-{
-    // Axes like banks/ways/cores have purely numeric labels; the
-    // inferred split would fold them into the metrics, so the explicit
-    // coord_columns parameter is required for exactness.
-    ResultsTable t({"mix", "banks"}, {"metric"});
+    // Pins both emitters byte for byte: CSV quoting, numeric coordinate
+    // labels kept as strings, shortest round-trip numbers, and the
+    // indented and compact JSON layouts.
+    ResultsTable t({"mix", "banks"}, {"ipc"});
     t.resize(2);
-    t.setRow(0, {"tpcc", "1"}, {1.5});
-    t.setRow(1, {"tpcc", "8"}, {1.25});
-    ResultsTable back = ResultsTable::fromCsv(t.toCsv(), 2);
-    EXPECT_EQ(back, t);
-    EXPECT_EQ(back.value({{"mix", "tpcc"}, {"banks", "8"}}, "metric"),
-              1.25);
-    // JSON needs no hint.
-    EXPECT_EQ(ResultsTable::fromJson(t.toJson()), t);
+    t.setRow(0, {"kafka, \"q\"", "8"}, {0.9871234567891234});
+    t.setRow(1, {"tpcc", "16"}, {2.0});
+    EXPECT_EQ(t.toCsv(), "mix,banks,ipc\n"
+                         "\"kafka, \"\"q\"\"\",8,0.9871234567891234\n"
+                         "tpcc,16,2\n");
+    EXPECT_EQ(t.toJson(0),
+              "{\"coords\":[\"mix\",\"banks\"],\"metrics\":[\"ipc\"],"
+              "\"rows\":[{\"mix\":\"kafka, \\\"q\\\"\",\"banks\":\"8\","
+              "\"ipc\":0.9871234567891234},"
+              "{\"mix\":\"tpcc\",\"banks\":\"16\",\"ipc\":2}]}");
+    EXPECT_EQ(t.toJson(), "{\n"
+                          "  \"coords\": [\n"
+                          "    \"mix\",\n"
+                          "    \"banks\"\n"
+                          "  ],\n"
+                          "  \"metrics\": [\n"
+                          "    \"ipc\"\n"
+                          "  ],\n"
+                          "  \"rows\": [\n"
+                          "    {\n"
+                          "      \"mix\": \"kafka, \\\"q\\\"\",\n"
+                          "      \"banks\": \"8\",\n"
+                          "      \"ipc\": 0.9871234567891234\n"
+                          "    },\n"
+                          "    {\n"
+                          "      \"mix\": \"tpcc\",\n"
+                          "      \"banks\": \"16\",\n"
+                          "      \"ipc\": 2\n"
+                          "    }\n"
+                          "  ]\n"
+                          "}");
 }
 
 TEST(Json, NonFiniteNumbersRoundTrip)
@@ -208,16 +223,6 @@ TEST(Json, NonFiniteNumbersRoundTrip)
     EXPECT_EQ(back.get("up").asNumber(), inf);
     EXPECT_EQ(back.get("down").asNumber(), -inf);
     EXPECT_TRUE(std::isnan(back.get("nan").asNumber()));
-}
-
-TEST(ResultsTable, JsonRoundTrip)
-{
-    ResultsTable t = sampleTable();
-    ResultsTable back = ResultsTable::fromJson(t.toJson());
-    EXPECT_EQ(back, t);
-    EXPECT_EQ(back.toJson(), t.toJson());
-    // Compact form parses too.
-    EXPECT_EQ(ResultsTable::fromJson(t.toJson(0)), t);
 }
 
 TEST(ThreadPool, ParallelForCoversEveryIndexOnce)
